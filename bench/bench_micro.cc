@@ -244,7 +244,7 @@ BENCHMARK(BM_DecodedReplay);
 void
 BM_BatchedReplay(benchmark::State &state)
 {
-    // Lockstep batched replay (DESIGN.md §14): `lanes` independent
+    // Lockstep batched replay (DESIGN.md §13): `lanes` independent
     // cores advance one uop per trip, overlapping their serial
     // timestamp chains. Items processed counts all lanes.
     const size_t lanes = static_cast<size_t>(state.range(0));

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fixed-point firmware bench (ISSUE 8, DESIGN.md §14): what does the
+ * Fixed-point firmware bench (ISSUE 8, DESIGN.md §13): what does the
  * int8 uc path (PSCA_UC_FIXED=1) cost in prediction quality and what
  * does it buy in the uc ops budget?
  *

@@ -1,7 +1,7 @@
 /**
  * @file
  * Online-adaptation-service bench: drive the serve state machine
- * (DESIGN.md §15) through a category-shifting workload schedule and
+ * (DESIGN.md §14) through a category-shifting workload schedule and
  * report the lifecycle economics — blocks served, drift windows until
  * detection, retrain/shadow/promotion counts, and the live PPW gain
  * before and after the hot-swap — into BENCH_serve.json.

@@ -9,8 +9,11 @@
  * Conventions:
  *  - unset or empty variables mean "use the default" and are never
  *    warned about;
- *  - garbage values (trailing junk, wrong type, unknown enum token)
- *    warn once per lookup and fall back to the default;
+ *  - garbage values (trailing junk, wrong type) warn once per lookup
+ *    and fall back to the default;
+ *  - an unknown enum token is fatal, with the allowed choices in the
+ *    message: enum knobs pick what a run computes (scale, kernel
+ *    dispatch), so a typo must not silently run something else;
  *  - out-of-range numbers warn and fall back to the default, so a
  *    bad value can never smuggle a 0 into a divisor or a loop bound.
  *
@@ -156,7 +159,10 @@ flagOr(const char *name, bool def)
     return v;
 }
 
-/** Enum knob: the value must be one of @p allowed. */
+/**
+ * Enum knob: the value must be one of @p allowed; any other value is
+ * fatal and the message lists the choices.
+ */
 inline std::string
 enumOr(const char *name, std::initializer_list<const char *> allowed,
        const char *def)
@@ -173,8 +179,7 @@ enumOr(const char *name, std::initializer_list<const char *> allowed,
             choices += "|";
         choices += token;
     }
-    warn("ignoring ", name, "='", s, "': expected one of ", choices);
-    return def;
+    fatal(name, "='", s, "': expected one of ", choices);
 }
 
 /** String knob (no validation beyond non-empty). */

@@ -1,6 +1,8 @@
 #include "common/fault.hh"
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 
 #include "common/env.hh"
@@ -8,6 +10,24 @@
 
 namespace psca {
 namespace {
+
+/** The site catalog (fault.hh): every name a FAULT_SITE may use. */
+const char *const kSiteNames[] = {
+    "telemetry.stuck_counter", "telemetry.saturation",
+    "telemetry.noise",         "telemetry.dropped_snapshot",
+    "uc.deadline_miss",        "uc.vm_trap",
+    "persist.memo_corrupt",    "persist.cache_corrupt",
+    "persist.io_error",        "serve.retrain_fail",
+    "serve.swap_crash",        "serve.shadow_corrupt",
+    "serve.probation_regress",
+};
+
+bool
+isKnownSite(const std::string &name)
+{
+    return std::find(std::begin(kSiteNames), std::end(kSiteNames),
+                     name) != std::end(kSiteNames);
+}
 
 /** FNV-1a 64 over the site name, for seed derivation. */
 uint64_t
@@ -41,6 +61,8 @@ FaultRegistry::FaultRegistry()
 FaultSite &
 FaultRegistry::site(const std::string &name)
 {
+    PSCA_ASSERT(isKnownSite(name), "fault site '", name,
+                "' is not in the catalog (common/fault.cc)");
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sites_.find(name);
     if (it == sites_.end()) {
@@ -83,6 +105,13 @@ FaultRegistry::configure(const std::string &spec, uint64_t seed)
             fatal("PSCA_FAULTS entry '", entry,
                   "': expected site:rate[:param]");
         const std::string name = entry.substr(0, c1);
+        if (!isKnownSite(name)) {
+            std::string known;
+            for (const char *n : kSiteNames)
+                known += std::string(known.empty() ? "" : ", ") + n;
+            fatal("PSCA_FAULTS entry '", entry, "': unknown site '",
+                  name, "' (known sites: ", known, ")");
+        }
         const size_t c2 = entry.find(':', c1 + 1);
         const std::string rate_s = c2 == std::string::npos
             ? entry.substr(c1 + 1)

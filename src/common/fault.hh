@@ -41,20 +41,6 @@
  *   persist.cache_corrupt     a corpus cache file fails checksum
  *   persist.io_error          transient open/IO failure (bounded
  *                             retry with backoff handles it)
- *   net.frame_corrupt         one wire frame is corrupted in flight;
- *                             the receiver detects the bad checksum
- *                             and drops the connection
- *   net.torn_send             a frame send tears mid-way and the
- *                             connection dies with a partial frame
- *                             on the wire
- *   net.conn_reset            the connection resets instead of
- *                             delivering a frame
- *   net.recv_stall            a receive stalls param ms (default 20)
- *                             before reading
- *   net.heartbeat_drop        a worker heartbeat is silently dropped
- *   net.dup_result            a worker delivers one Result frame
- *                             twice (the coordinator dedupes by unit
- *                             index, first write wins)
  *   serve.retrain_fail        a background retrain dies before
  *                             producing a candidate (keyed by retrain
  *                             ordinal; the service cools down on the
@@ -73,11 +59,9 @@
  *                             ordinal and probation block — forces
  *                             the auto-rollback path)
  *
- * The net.* sites key their draws by stable wire identities (scope
- * hash, unit index, heartbeat sequence) mixed with the connection
- * generation, so a retry after reconnect draws a fresh substream and
- * seeded chaos schedules cannot livelock a rejoining worker
- * (src/dist/netfault.hh).
+ * The catalog is closed: the table in fault.cc lists exactly these
+ * names, PSCA_FAULTS rejects any other name, and FAULT_SITE asserts
+ * its name is in the table.
  */
 
 #ifndef PSCA_COMMON_FAULT_HH
@@ -189,13 +173,17 @@ class FaultRegistry
   public:
     static FaultRegistry &instance();
 
-    /** Look up (creating if needed) the site named @p name. */
+    /**
+     * Look up (creating if needed) the site named @p name, which must
+     * be in the catalog.
+     */
     FaultSite &site(const std::string &name);
 
     /**
      * Re-arm all sites from a spec string
      * ("site:rate[:param],...", "" disarms everything). Malformed
-     * specs are fatal: a typo must never silently run fault-free.
+     * specs and unknown site names are fatal: a typo must never
+     * silently run fault-free.
      */
     void configure(const std::string &spec, uint64_t seed);
 

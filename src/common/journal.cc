@@ -31,9 +31,6 @@ constexpr size_t kFramePayload = 1 + 4 * 8;
 
 std::atomic<bool> g_stop{false};
 
-/** Distribution hook (set once at startup, before scopes run). */
-std::atomic<DistScopeFn> g_distHook{nullptr};
-
 /** Whether Journal::instance() was ever constructed (globalStats()
  *  must observe, never create, the process-wide journal). */
 std::atomic<bool> g_instanceCreated{false};
@@ -87,12 +84,6 @@ void
 clearStopRequest()
 {
     g_stop.store(false, std::memory_order_relaxed);
-}
-
-void
-setDistScopeHook(DistScopeFn fn)
-{
-    g_distHook.store(fn, std::memory_order_release);
 }
 
 int
@@ -559,32 +550,10 @@ Journal::runCheckpointed(
     const std::string &scope, uint64_t config_h, size_t n,
     const std::function<bool(size_t, BinaryReader &)> &load_unit,
     const std::function<void(size_t)> &exec_unit,
-    const std::function<void(size_t, BinaryWriter &)> &save_unit,
-    DistMode dist)
+    const std::function<void(size_t, BinaryWriter &)> &save_unit)
 {
     auto &pool = ThreadPool::instance();
-    // Top-level Distributed scopes are offered to the distribution
-    // layer first. Nested scopes never are — every process in a fleet
-    // runs the identical deterministic pipeline, so the interception
-    // decision must be a pure function of (scope nesting, DistMode)
-    // and identical everywhere.
-    const DistScopeFn hook =
-        dist == DistMode::Distributed &&
-            !ThreadPool::inParallelTask()
-        ? g_distHook.load(std::memory_order_acquire)
-        : nullptr;
     if (!enabled_) {
-        if (hook != nullptr) {
-            // Worker side: no local journal; every index is pending
-            // from this process's point of view and the coordinator
-            // decides what it executes vs fetches.
-            std::vector<size_t> pending(n);
-            for (size_t i = 0; i < n; ++i)
-                pending[i] = i;
-            if (hook(*this, scope, config_h, n, pending, load_unit,
-                     exec_unit, save_unit))
-                return;
-        }
         pool.parallelFor(n, exec_unit);
         return;
     }
@@ -626,16 +595,6 @@ Journal::runCheckpointed(
                       std::to_string(skipped) + "/" +
                       std::to_string(n) + " completed units");
     }
-
-    // Coordinator side: the journal partition above already loaded
-    // everything completed by an earlier (possibly interrupted)
-    // campaign; the hook distributes only the remainder and commits
-    // each received unit through commitUnitPayload() before this
-    // call returns.
-    if (hook != nullptr &&
-        hook(*this, scope, config_h, n, pending, load_unit,
-             exec_unit, save_unit))
-        return;
 
     std::atomic<bool> interrupted{false};
     pool.parallelFor(pending.size(), [&](size_t k) {
@@ -734,82 +693,6 @@ Journal::runCheckpointed(
                              "' interrupted; completed units are "
                              "journaled for resume");
     }
-}
-
-bool
-Journal::commitUnitPayload(const std::string &scope,
-                           uint64_t config_h, uint64_t unit,
-                           const void *payload, size_t size)
-{
-    if (!enabled_)
-        return false;
-    active_.store(true, std::memory_order_relaxed);
-    const uint64_t scope_h = scopeHash(scope);
-    uint64_t sum = 0;
-    const bool stored = writeArtifactFile(
-        unitPath(scope_h, config_h, unit),
-        [&](BinaryWriter &out) {
-            writeFileHeader(out, kCkptMagic, kCkptVersion);
-            out.put(scope_h);
-            out.put(config_h);
-            out.put(unit);
-            out.putBytes(payload, size);
-            out.putChecksumTrailer();
-        },
-        &sum);
-    if (!stored)
-        return false;
-    Entry e;
-    e.type = EntryType::UnitDone;
-    e.scopeHash = scope_h;
-    e.configHash = config_h;
-    e.unitIndex = unit;
-    e.artifactSum = sum;
-    appendEntry(e);
-    return true;
-}
-
-bool
-Journal::readUnitPayload(const std::string &scope, uint64_t config_h,
-                         uint64_t unit, std::string &payload) const
-{
-    if (!enabled_)
-        return false;
-    const uint64_t scope_h = scopeHash(scope);
-    uint64_t expect = 0;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = entries_.find(ScopeKey{scope_h, config_h});
-        if (it == entries_.end())
-            return false;
-        const auto u = it->second.find(unit);
-        if (u == it->second.end())
-            return false;
-        expect = u->second;
-    }
-    std::ifstream raw(unitPath(scope_h, config_h, unit),
-                      std::ios::binary | std::ios::ate);
-    if (!raw)
-        return false;
-    const uint64_t total = static_cast<uint64_t>(raw.tellg());
-    // magic + version (12), scope/config/unit keys (24), trailer (8).
-    constexpr uint64_t kHeaderBytes = 12 + 24;
-    constexpr uint64_t kWrapBytes = kHeaderBytes + 8;
-    if (total < kWrapBytes)
-        return false;
-    raw.seekg(0);
-    std::string all(total, '\0');
-    raw.read(all.data(), static_cast<std::streamsize>(total));
-    if (!raw)
-        return false;
-    // The journaled checksum covers every byte before the trailer;
-    // matching it binds the file to this exact (scope, config, unit).
-    if (fnv1aUpdate(kFnv1aBasis, all.data(),
-                    static_cast<size_t>(total - 8)) != expect)
-        return false;
-    payload.assign(all, kHeaderBytes,
-                   static_cast<size_t>(total - kWrapBytes));
-    return true;
 }
 
 JournalStats

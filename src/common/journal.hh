@@ -108,39 +108,6 @@ bool stopRequested();
 void clearStopRequest();
 
 /**
- * Whether a checkpointed scope may be handed to the distribution
- * layer. Explicit per call site: exactly the four campaign fan-outs
- * (corpus recording, PF screen-1, crossval folds, forest fits) opt
- * in; everything else — nested scopes, tests, small utility maps —
- * stays local no matter what PSCA_DIST_ROLE says.
- */
-enum class DistMode : uint8_t
-{
-    Local = 0,
-    Distributed = 1,
-};
-
-class Journal;
-
-/**
- * Distribution hook (same function-pointer idiom as the logging
- * trace hooks: common/ cannot link the dist layer). Called by
- * runCheckpointed() for Distributed scopes with the not-yet-journaled
- * indices; returns true when the scope was fully handled — every
- * pending slot filled (via exec or load) and, on the coordinator,
- * journaled — or false to fall back to the local parallelFor path.
- */
-using DistScopeFn = bool (*)(
-    Journal &journal, const std::string &scope, uint64_t config_h,
-    size_t n, const std::vector<size_t> &pending,
-    const std::function<bool(size_t, BinaryReader &)> &load_unit,
-    const std::function<void(size_t)> &exec_unit,
-    const std::function<void(size_t, BinaryWriter &)> &save_unit);
-
-/** Install (or clear, with nullptr) the distribution hook. */
-void setDistScopeHook(DistScopeFn fn);
-
-/**
  * Deterministic retry backoff for transient-IO paths: exponential
  * base (1 << attempt ms) plus a jitter drawn from a taskSeed
  * substream of (PSCA_FAULT_SEED, key, attempt) — never from the
@@ -169,9 +136,9 @@ bool writeArtifactFile(const std::string &path,
                        uint64_t *content_sum = nullptr);
 
 /**
- * Two-phase commit for multi-file artifacts (e.g. a fleet of firmware
- * images that must appear as a set). Phase one stages every file to a
- * temp sibling and fsync()s it; phase two renames them all. abort()
+ * Two-phase commit for multi-file artifacts (e.g. a set of firmware
+ * images that must appear together). Phase one stages every file to
+ * a temp sibling and fsync()s it; phase two renames them all. abort()
  * (or destruction without commit) removes the temps and publishes
  * nothing.
  */
@@ -301,37 +268,12 @@ class Journal
      * requestStop() at unit boundaries (throws RunInterrupted after
      * draining in-flight units). With the journal disabled this is
      * exactly parallelFor(n, exec_unit).
-     *
-     * @p dist offers the scope to the distribution hook (top-level
-     * scopes only; nested scopes always run locally so every process
-     * in a fleet makes the same interception decision).
      */
     void runCheckpointed(
         const std::string &scope, uint64_t config_h, size_t n,
         const std::function<bool(size_t, BinaryReader &)> &load_unit,
         const std::function<void(size_t)> &exec_unit,
-        const std::function<void(size_t, BinaryWriter &)> &save_unit,
-        DistMode dist = DistMode::Local);
-
-    /**
-     * Commit one externally computed unit: wrap @p payload (exactly
-     * the bytes its save_unit callback would write) in the standard
-     * checkpoint header/keys/trailer, publish the artifact
-     * atomically, and journal it. The distribution coordinator's
-     * merge path. False on IO failure (the unit stays pending).
-     */
-    bool commitUnitPayload(const std::string &scope, uint64_t config_h,
-                           uint64_t unit, const void *payload,
-                           size_t size);
-
-    /**
-     * Re-read a journaled unit's artifact and extract the raw
-     * save_unit payload (header/keys/trailer stripped), verifying the
-     * journaled checksum. Serves checkpoint bytes to fleet workers
-     * when a scope resumes with units completed in an earlier run.
-     */
-    bool readUnitPayload(const std::string &scope, uint64_t config_h,
-                         uint64_t unit, std::string &payload) const;
+        const std::function<void(size_t, BinaryWriter &)> &save_unit);
 
     /** Tallies for this instance. */
     JournalStats stats() const;
@@ -341,8 +283,8 @@ class Journal
 
     /**
      * Count well-formed entries in a journal file without opening it
-     * for writing (progress probes from a supervising process, and
-     * the corruption tests).
+     * for writing (progress probes from another process, and the
+     * corruption tests).
      */
     static size_t countEntries(const std::string &path);
 
@@ -425,8 +367,7 @@ checkpointedMap(Journal &journal, const std::string &scope,
                 uint64_t config_hash, size_t n,
                 const std::function<void(BinaryWriter &, const T &)> &save,
                 const std::function<T(BinaryReader &)> &load,
-                const std::function<T(size_t)> &fn,
-                DistMode dist = DistMode::Local)
+                const std::function<T(size_t)> &fn)
 {
     std::vector<T> out(n);
     journal.runCheckpointed(
@@ -436,7 +377,7 @@ checkpointedMap(Journal &journal, const std::string &scope,
             return in.good();
         },
         [&](size_t i) { out[i] = fn(i); },
-        [&](size_t i, BinaryWriter &w) { save(w, out[i]); }, dist);
+        [&](size_t i, BinaryWriter &w) { save(w, out[i]); });
     return out;
 }
 
@@ -447,11 +388,10 @@ checkpointedMap(const std::string &scope, uint64_t config_hash,
                 size_t n,
                 const std::function<void(BinaryWriter &, const T &)> &save,
                 const std::function<T(BinaryReader &)> &load,
-                const std::function<T(size_t)> &fn,
-                DistMode dist = DistMode::Local)
+                const std::function<T(size_t)> &fn)
 {
     return checkpointedMap<T>(Journal::instance(), scope, config_hash,
-                              n, save, load, fn, dist);
+                              n, save, load, fn);
 }
 
 } // namespace psca

@@ -45,8 +45,8 @@ constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
 /**
  * Streaming binary writer over a file, or — default-constructed —
  * over an in-memory buffer (takeBuffer()). The memory mode is how
- * unit payloads are built for the distribution protocol without a
- * temp-file round trip; both modes feed the same running checksum.
+ * quantized firmware payloads are built without a temp-file round
+ * trip; both modes feed the same running checksum.
  */
 class BinaryWriter
 {
@@ -86,13 +86,6 @@ class BinaryWriter
     {
         put<uint64_t>(s.size());
         putRaw(s.data(), s.size());
-    }
-
-    /** Write raw bytes (an already-serialized blob), checksummed. */
-    void
-    putBytes(const void *data, size_t n)
-    {
-        putRaw(data, n);
     }
 
     /**
@@ -143,8 +136,8 @@ class BinaryWriter
 
 /**
  * Streaming binary reader over a file, or over an in-memory byte
- * range (protocol payloads). Allocation bounds and the running
- * checksum behave identically in both modes.
+ * range (quantized firmware payloads). Allocation bounds and the
+ * running checksum behave identically in both modes.
  */
 class BinaryReader
 {

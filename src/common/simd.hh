@@ -1,7 +1,7 @@
 /**
  * @file
  * Runtime SIMD dispatch for the batched inference kernels
- * (DESIGN.md §14). The active level is the meet of three gates:
+ * (DESIGN.md §13). The active level is the meet of three gates:
  * what this binary was compiled with (PSCA_HAVE_AVX2, probed by
  * CMake), what the host CPU reports, and what the operator asked
  * for (`PSCA_SIMD=avx2|scalar`, default = highest available).

@@ -300,8 +300,7 @@ recordCorpus(const std::vector<Workload> &workloads,
             if (done % 200 == 0)
                 inform("  ", done, "/", workloads.size(), " traces");
             return r;
-        },
-        DistMode::Distributed);
+        });
 
     const bool stored = writeArtifactFile(path, [&](BinaryWriter &out) {
         writeFileHeader(out, kCacheMagic, kCacheVersion);

@@ -208,7 +208,7 @@ crossValidate(const Dataset &data, const ModelFactory &factory,
             "crossval." + opts.checkpointTag,
             crossValConfigHash(data, opts),
             static_cast<size_t>(opts.folds), writeFoldResult,
-            readFoldResult, run_fold, DistMode::Distributed);
+            readFoldResult, run_fold);
     } else {
         fold_results =
             ThreadPool::instance()

@@ -28,8 +28,8 @@ constexpr uint32_t kFwVersion = 4; // 4: fixed-point slot payloads
 // UcInst carries an alignment hole after its uint8_t opcode, so a
 // raw putVector would serialize uninitialized padding and two images
 // compiled from the same model would differ byte-for-byte. Encode
-// each field instead: images must be reproducible so the resume and
-// fleet-publish paths can compare them with cmp.
+// each field instead: images must be reproducible so resumed and
+// straight-through campaigns can compare them with cmp.
 void
 writeCode(BinaryWriter &out, const std::vector<UcInst> &code)
 {

@@ -1,11 +1,7 @@
 #include "core/runner.hh"
 
 #include <csignal>
-#include <sys/wait.h>
 #include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 
 #include <atomic>
 #include <chrono>
@@ -16,11 +12,11 @@
 #include <thread>
 
 #include "common/env.hh"
+#include "common/fault.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
-#include "dist/dist.hh"
+#include "common/simd.hh"
 #include "obs/http.hh"
-#include "obs/stats.hh"
 #include "obs/trace.hh"
 
 namespace psca {
@@ -191,10 +187,11 @@ guardedMain(const std::function<int()> &body)
     // endpoint starts if PSCA_HTTP_PORT is set.
     obs::TraceLog::instance();
     obs::HttpServer::maybeStartFromEnv();
-    // Join the fleet (or start serving one) if PSCA_DIST_ROLE says
-    // so; a no-op otherwise. Must come after the telemetry plane so
-    // dist gauges and spans land in it.
-    dist::maybeInitFromEnv();
+    // Resolve PSCA_FAULTS and PSCA_SIMD here, on the main thread, so
+    // a bad value is fatal before any work starts rather than inside
+    // a pool task.
+    FaultRegistry::instance();
+    simd::activeLevel();
     const double linger_s =
         env::doubleOr("PSCA_HTTP_LINGER_S", 0.0, 0.0, 86400.0);
 
@@ -226,11 +223,6 @@ guardedMain(const std::function<int()> &body)
         watchdog.stop();
     }
 
-    // Leave the fleet before the telemetry plane goes down: the
-    // coordinator broadcasts Shutdown (and withdraws its address
-    // file), a worker sends Bye.
-    dist::shutdown();
-
     // Orderly telemetry shutdown: optionally hold the live endpoint
     // open so a scraper can take a final reading, then stop it and
     // flush the span trace (also covered by atexit for bare mains).
@@ -254,71 +246,6 @@ guardedMain(const std::function<int()> &body)
     sigaction(SIGTERM, &old_term, nullptr);
     entered.store(false);
     return status;
-}
-
-int
-supervise(const std::function<pid_t()> &spawn, int max_restarts,
-          const char *what, std::atomic<pid_t> *current_child)
-{
-    int restarts = 0;
-    for (;;) {
-        const pid_t pid = spawn();
-        if (pid < 0) {
-            warn("supervise: cannot spawn ", what);
-            return 1;
-        }
-        if (current_child)
-            current_child->store(pid);
-        int status = 0;
-        pid_t r;
-        do {
-            r = ::waitpid(pid, &status, 0);
-        } while (r < 0 && errno == EINTR);
-        if (current_child)
-            current_child->store(-1);
-        if (r < 0) {
-            warn("supervise: waitpid failed for ", what, " (",
-                 std::strerror(errno), ")");
-            return 1;
-        }
-
-        const bool signaled = WIFSIGNALED(status);
-        const int code =
-            WIFEXITED(status) ? WEXITSTATUS(status) : 0;
-        if (!signaled && code == 0)
-            return 0;
-        if (!signaled && code != kResumableExit) {
-            // A hard error, not a crash: the journal would just
-            // replay into the same failure. Surface it.
-            warn("supervise: ", what, " exited with status ", code,
-                 "; not restarting");
-            return code;
-        }
-        if (stopRequested()) {
-            inform("supervise: stop requested; not restarting ",
-                   what);
-            return kResumableExit;
-        }
-        if (restarts >= max_restarts) {
-            warn("supervise: ", what, " died ", restarts + 1,
-                 " times (restart budget ", max_restarts,
-                 " exhausted)");
-            return signaled ? 1 : kResumableExit;
-        }
-        ++restarts;
-        obs::StatRegistry::instance()
-            .counter("runner.supervisor_restarts")
-            .add();
-        warn("supervise: ", what,
-             signaled ? " killed by signal " : " exited with status ",
-             signaled ? WTERMSIG(status) : code, "; restarting (",
-             restarts, "/", max_restarts,
-             ") — the journal resumes completed work");
-        emitEvent("supervisor", LogLevel::Warn,
-                  std::string(what) + " died; restart " +
-                      std::to_string(restarts) + "/" +
-                      std::to_string(max_restarts));
-    }
 }
 
 } // namespace runner

@@ -33,9 +33,6 @@
 #ifndef PSCA_CORE_RUNNER_HH
 #define PSCA_CORE_RUNNER_HH
 
-#include <sys/types.h>
-
-#include <atomic>
 #include <functional>
 
 namespace psca {
@@ -55,24 +52,6 @@ constexpr int kResumableExit = 75;
  * reported and return 1. Nested calls run the body directly.
  */
 int guardedMain(const std::function<int()> &body);
-
-/**
- * Fork-and-respawn supervisor for crash-resume (DESIGN.md §13).
- * Calls @p spawn to start one child process, waits for it, and while
- * it dies abnormally (killed by a signal) or exits with
- * kResumableExit — both of which the journal makes resumable —
- * respawns it, up to @p max_restarts times, counting
- * runner.supervisor_restarts. A clean exit (0) or a hard error (any
- * other code) ends supervision immediately with that code; so does a
- * pending stop request (SIGINT on the supervisor itself).
- *
- * @p current_child, when given, always holds the pid of the running
- * child (or -1 between children) — chaos harnesses use it to aim a
- * SIGKILL at whatever incarnation is currently alive.
- */
-int supervise(const std::function<pid_t()> &spawn, int max_restarts,
-              const char *what,
-              std::atomic<pid_t> *current_child = nullptr);
 
 } // namespace runner
 } // namespace psca

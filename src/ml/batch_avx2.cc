@@ -5,7 +5,7 @@
  * FMA contraction disabled (-mno-fma -ffp-contract=off in
  * CMakeLists) so every lane performs the same mul-then-add sequence
  * as MlpModel::score() and the results stay bit-identical to the
- * scalar kernel (DESIGN.md §14).
+ * scalar kernel (DESIGN.md §13).
  */
 
 #include "ml/batch_kernels.hh"

@@ -1,7 +1,7 @@
 /**
  * @file
  * Lane-blocked MLP forward kernels behind the batched scoring path
- * (DESIGN.md §14). Eight samples flow through the network together
+ * (DESIGN.md §13). Eight samples flow through the network together
  * in transposed activation blocks (`act[neuron][lane]`); per lane
  * the accumulation order is exactly MlpModel::score() — sum starts
  * at the bias and adds `w[i] * act[i]` in ascending i — so the AVX2

@@ -47,7 +47,7 @@ class LogisticRegression : public Model
     /**
      * 8-lane blocked dot products; per lane the feature order (and
      * the double accumulation) matches score() exactly, so results
-     * are bit-identical (DESIGN.md §14).
+     * are bit-identical (DESIGN.md §13).
      */
     void scoreBatch(const float *X, int n, double *out) const override;
 

@@ -50,7 +50,7 @@ class MlpModel : public Model
      * activation layout, dispatched to the AVX2 kernel when
      * available (see batch_kernels.hh). Per sample the accumulation
      * order matches score() exactly, so results are bit-identical
-     * regardless of the active SIMD level (DESIGN.md §14).
+     * regardless of the active SIMD level (DESIGN.md §13).
      */
     void scoreBatch(const float *X, int n, double *out) const override;
 

@@ -41,7 +41,7 @@ class Model
      * The base implementation is the scalar loop; vectorized
      * overrides keep each sample's operation order (and therefore
      * its exact double result) and only parallelize across samples
-     * (DESIGN.md §14).
+     * (DESIGN.md §13).
      */
     virtual void
     scoreBatch(const float *X, int n, double *out) const

@@ -5,7 +5,7 @@
  * quantization is a post-training transform producing firmware-ready
  * integer tables, enabled at packaging time with `PSCA_UC_FIXED=1`.
  *
- * Scheme (DESIGN.md §14):
+ * Scheme (DESIGN.md §13):
  *  - Inputs snap to a fixed global grid: q = clamp(round(S x),
  *    -128, 127) with S = kInputScale = 32, i.e. Q3.5 covering
  *    [-4, 4). Z-scored telemetry concentrates within a few sigma

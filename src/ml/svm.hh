@@ -44,7 +44,7 @@ class Chi2Svm : public Model
      * Blocked scoring: 4 samples share each support-vector row while
      * it is hot in cache. Per sample every kernel evaluation and the
      * accumulation order match score() exactly, so results are
-     * bit-identical (DESIGN.md §14).
+     * bit-identical (DESIGN.md §13).
      */
     void scoreBatch(const float *X, int n, double *out) const override;
 

@@ -124,7 +124,7 @@ class RandomForest : public Model
      * +inf threshold, making the walk a fixed-trip-count loop while
      * visiting exactly the nodes score() visits; per-sample leaf
      * probabilities accumulate in tree order, so every result is
-     * bit-identical to score() (DESIGN.md §14).
+     * bit-identical to score() (DESIGN.md §13).
      */
     void scoreBatch(const float *X, int n, double *out) const override;
 

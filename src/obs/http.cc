@@ -16,7 +16,6 @@
 #include "obs/events.hh"
 #include "obs/json.hh"
 #include "obs/phase.hh"
-#include "obs/snapshot.hh"
 #include "obs/stats.hh"
 
 namespace psca {
@@ -45,24 +44,8 @@ namespace {
 std::string
 statsBody()
 {
-    // Same byte layout as StatRegistry::writeJson("live"), but built
-    // from an explicit snapshot so the live-snapshot augmenter (the
-    // fleet coordinator folding in worker shards) can run between
-    // capture and emit. Final run reports never pass through the
-    // augmenter, so they stay byte-identical across fleet shapes.
-    StatSnapshot snap;
-    snap.capture(StatRegistry::instance());
-    if (LiveSnapshotAugmenter fn = liveSnapshotAugmenter())
-        fn(snap);
     std::ostringstream os;
-    os << "{\n";
-    os << "  \"report\": \"live\",\n";
-    os << "  \"schema\": 1,\n";
-    snap.writeSections(os, /*trailing_comma=*/true);
-    EventLog::instance().writeReportSection(os);
-    os << "  \"phases\": ";
-    writePhaseTreeJson(os);
-    os << "\n}\n";
+    StatRegistry::instance().writeJson(os, "live");
     return os.str();
 }
 

@@ -1,10 +1,7 @@
 #include "obs/snapshot.hh"
 
-#include <atomic>
-#include <cstdio>
 #include <ostream>
 
-#include "common/serialize.hh"
 #include "obs/json.hh"
 
 namespace psca {
@@ -26,105 +23,6 @@ StatSnapshot::capture(const StatRegistry &reg)
         [this](const std::string &name, const Histogram &h) {
             histograms[name] = h.snapshot();
         });
-}
-
-void
-StatSnapshot::merge(const StatSnapshot &other)
-{
-    for (const auto &[name, v] : other.counters)
-        counters[name] += v;
-    for (const auto &[name, v] : other.gauges) {
-        const auto it = gauges.find(name);
-        if (it == gauges.end())
-            gauges[name] = v;
-        else if (v > it->second)
-            it->second = v;
-    }
-    for (const auto &[name, h] : other.histograms)
-        histograms[name].merge(h);
-}
-
-void
-StatSnapshot::serialize(BinaryWriter &out) const
-{
-    out.put<uint64_t>(counters.size());
-    for (const auto &[name, v] : counters) {
-        out.putString(name);
-        out.put(v);
-    }
-    out.put<uint64_t>(gauges.size());
-    for (const auto &[name, v] : gauges) {
-        out.putString(name);
-        out.put(v);
-    }
-    out.put<uint64_t>(histograms.size());
-    for (const auto &[name, h] : histograms) {
-        out.putString(name);
-        h.serialize(out);
-    }
-}
-
-bool
-StatSnapshot::deserialize(BinaryReader &in)
-{
-    counters.clear();
-    gauges.clear();
-    histograms.clear();
-    const uint64_t nc = in.get<uint64_t>();
-    for (uint64_t i = 0; i < nc && in.good(); ++i) {
-        const std::string name = in.getString();
-        counters[name] = in.get<uint64_t>();
-    }
-    const uint64_t ng = in.get<uint64_t>();
-    for (uint64_t i = 0; i < ng && in.good(); ++i) {
-        const std::string name = in.getString();
-        gauges[name] = in.get<double>();
-    }
-    const uint64_t nh = in.get<uint64_t>();
-    for (uint64_t i = 0; i < nh && in.good(); ++i) {
-        const std::string name = in.getString();
-        if (!histograms[name].deserialize(in))
-            return false;
-    }
-    return in.good();
-}
-
-bool
-StatSnapshot::writeFile(const std::string &path) const
-{
-    BinaryWriter out(path);
-    writeFileHeader(out, kSnapshotMagic, kSnapshotVersion);
-    serialize(out);
-    out.putChecksumTrailer();
-    return out.good();
-}
-
-bool
-StatSnapshot::readFile(const std::string &path)
-{
-    counters.clear();
-    gauges.clear();
-    histograms.clear();
-    BinaryReader in(path);
-    if (!in.good()) {
-        warn("stat snapshot '", path, "': cannot open");
-        return false;
-    }
-    const HeaderCheck hc =
-        readFileHeader(in, kSnapshotMagic, kSnapshotVersion);
-    if (hc != HeaderCheck::Ok) {
-        warn("stat snapshot '", path, "': ", headerCheckName(hc));
-        return false;
-    }
-    if (!deserialize(in) || !in.verifyChecksumTrailer()) {
-        warn("stat snapshot '", path,
-             "': corrupt payload or checksum mismatch");
-        counters.clear();
-        gauges.clear();
-        histograms.clear();
-        return false;
-    }
-    return true;
 }
 
 namespace {
@@ -162,8 +60,7 @@ writeHistogramJson(std::ostream &os, const HistogramSnapshot &h,
 } // namespace
 
 void
-StatSnapshot::writeSections(std::ostream &os,
-                            bool trailing_comma) const
+StatSnapshot::writeSections(std::ostream &os) const
 {
     os << "  \"counters\": {";
     bool first = true;
@@ -192,35 +89,7 @@ StatSnapshot::writeSections(std::ostream &os,
         writeHistogramJson(os, h, "    ");
         first = false;
     }
-    os << (first ? "" : "\n  ") << "}";
-    os << (trailing_comma ? ",\n" : "\n");
-}
-
-void
-StatSnapshot::writeJson(std::ostream &os,
-                        const std::string &report_name) const
-{
-    os << "{\n";
-    os << "  \"report\": \"" << jsonEscape(report_name) << "\",\n";
-    os << "  \"schema\": 1,\n";
-    writeSections(os, /*trailing_comma=*/false);
-    os << "}\n";
-}
-
-namespace {
-std::atomic<LiveSnapshotAugmenter> g_augmenter{nullptr};
-} // namespace
-
-void
-setLiveSnapshotAugmenter(LiveSnapshotAugmenter fn)
-{
-    g_augmenter.store(fn, std::memory_order_release);
-}
-
-LiveSnapshotAugmenter
-liveSnapshotAugmenter()
-{
-    return g_augmenter.load(std::memory_order_acquire);
+    os << (first ? "" : "\n  ") << "},\n";
 }
 
 } // namespace obs

@@ -1,16 +1,9 @@
 /**
  * @file
- * Mergeable stat snapshots (DESIGN.md §12): a plain-data copy of a
- * StatRegistry that can be serialized to a compact checksummed binary
- * blob, shipped across a process boundary, and folded into another
- * snapshot. The merge rules are commutative and associative —
- * counters sum, gauges take the max (order-invariant; shards that
- * agree on a configuration gauge reproduce it exactly), histograms
- * add buckets/counts and exact integer moment sums — so N shards
- * merged in ANY order reproduce the single-registry report byte for
- * byte. This is the aggregation primitive the distributed
- * coordinator (ROADMAP 1) and the fleet scenario (ROADMAP 2) build
- * on, and the /stats.json endpoint serves from.
+ * Stat snapshots (DESIGN.md §12): a plain-data copy of a StatRegistry,
+ * detached from the live atomics, and the JSON writer both the
+ * end-of-run report (StatRegistry::writeJson) and the /stats.json
+ * endpoint emit from, so the two share one byte layout.
  */
 
 #ifndef PSCA_OBS_SNAPSHOT_HH
@@ -24,15 +17,7 @@
 #include "obs/stats.hh"
 
 namespace psca {
-
-class BinaryReader;
-class BinaryWriter;
-
 namespace obs {
-
-/** On-disk snapshot format identity ("PSCASNAP", revision 1). */
-constexpr uint64_t kSnapshotMagic = 0x50534341534e4150ULL;
-constexpr uint32_t kSnapshotVersion = 1;
 
 /** One registry's stats, detached from the live atomic objects. */
 struct StatSnapshot
@@ -45,54 +30,13 @@ struct StatSnapshot
     void capture(const StatRegistry &reg);
 
     /**
-     * Fold another shard in: counters sum, gauges max, histograms
-     * merge exactly. Commutative and associative.
-     */
-    void merge(const StatSnapshot &other);
-
-    /** Payload codec (no header/trailer; see writeFile/readFile). */
-    void serialize(BinaryWriter &out) const;
-    bool deserialize(BinaryReader &in);
-
-    /**
-     * Whole-file codec in the serialize.hh cache idiom: standard
-     * (magic, version) header, payload, FNV-1a checksum trailer.
-     * writeFile() returns false on an IO error (partial file left for
-     * the caller); readFile() returns false — without quarantining,
-     * that is the caller's policy — on any open/header/checksum
-     * failure, leaving *this empty.
-     */
-    bool writeFile(const std::string &path) const;
-    bool readFile(const std::string &path);
-
-    /**
      * The "counters"/"gauges"/"histograms" report sections, exactly
      * as StatRegistry::writeJson() emits them (two-space indent,
-     * sorted names). With @p trailing_comma the last section is
-     * followed by ",\n" for embedding before further sections.
+     * sorted names), each followed by ",\n" so the report's events
+     * and phases sections can follow.
      */
-    void writeSections(std::ostream &os, bool trailing_comma) const;
-
-    /** A standalone report object (no phases/events sections). */
-    void writeJson(std::ostream &os,
-                   const std::string &report_name) const;
+    void writeSections(std::ostream &os) const;
 };
-
-/**
- * Hook applied to the snapshot served by /stats.json, letting a
- * subsystem that holds remote shards (the fleet coordinator merges
- * every worker's latest ScopeLeave snapshot) fold them into the live
- * view. Deliberately NOT applied to end-of-run report files — those
- * must stay byte-identical across fleet shapes. Function pointer, not
- * std::function: obs/ cannot link dist/.
- */
-using LiveSnapshotAugmenter = void (*)(StatSnapshot &snap);
-
-/** Install (or clear, with nullptr) the /stats.json augmenter. */
-void setLiveSnapshotAugmenter(LiveSnapshotAugmenter fn);
-
-/** The installed augmenter, or nullptr. */
-LiveSnapshotAugmenter liveSnapshotAugmenter();
 
 } // namespace obs
 } // namespace psca

@@ -6,7 +6,6 @@
 #include <ostream>
 
 #include "common/logging.hh"
-#include "common/serialize.hh"
 #include "obs/events.hh"
 #include "obs/json.hh"
 #include "obs/phase.hh"
@@ -35,21 +34,6 @@ double
 u128ToDouble(Uint128 v)
 {
     return static_cast<double>(v);
-}
-
-void
-putU128(BinaryWriter &out, Uint128 v)
-{
-    out.put<uint64_t>(static_cast<uint64_t>(v));
-    out.put<uint64_t>(static_cast<uint64_t>(v >> 64));
-}
-
-Uint128
-getU128(BinaryReader &in)
-{
-    const uint64_t lo = in.get<uint64_t>();
-    const uint64_t hi = in.get<uint64_t>();
-    return (static_cast<Uint128>(hi) << 64) | lo;
 }
 
 } // namespace
@@ -114,51 +98,6 @@ HistogramSnapshot::percentile(double p) const
     return max;
 }
 
-void
-HistogramSnapshot::merge(const HistogramSnapshot &other)
-{
-    count += other.count;
-    // An empty shard carries min=UINT64_MAX / max=0: the identity
-    // element for both folds, so no emptiness check is needed.
-    if (other.min < min)
-        min = other.min;
-    if (other.max > max)
-        max = other.max;
-    sum += other.sum;
-    sumSq += other.sumSq;
-    for (size_t i = 0; i < buckets.size(); ++i)
-        buckets[i] += other.buckets[i];
-}
-
-void
-HistogramSnapshot::serialize(BinaryWriter &out) const
-{
-    out.put(count);
-    out.put(min);
-    out.put(max);
-    putU128(out, sum);
-    putU128(out, sumSq);
-    out.put<uint64_t>(Histogram::kNumBuckets);
-    for (uint64_t b : buckets)
-        out.put(b);
-}
-
-bool
-HistogramSnapshot::deserialize(BinaryReader &in)
-{
-    count = in.get<uint64_t>();
-    min = in.get<uint64_t>();
-    max = in.get<uint64_t>();
-    sum = getU128(in);
-    sumSq = getU128(in);
-    const uint64_t n = in.get<uint64_t>();
-    if (!in.good() || n != Histogram::kNumBuckets)
-        return false;
-    for (auto &b : buckets)
-        b = in.get<uint64_t>();
-    return in.good();
-}
-
 double
 Histogram::mean() const
 {
@@ -198,21 +137,6 @@ Histogram::snapshot() const
 }
 
 void
-Histogram::merge(const HistogramSnapshot &other)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    count_ += other.count;
-    if (other.min < min_)
-        min_ = other.min;
-    if (other.max > max_)
-        max_ = other.max;
-    sum_ += other.sum;
-    sumSq_ += other.sumSq;
-    for (size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets[i];
-}
-
-void
 Histogram::reset()
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -222,28 +146,6 @@ Histogram::reset()
     sum_ = 0;
     sumSq_ = 0;
     buckets_.fill(0);
-}
-
-void
-Histogram::serialize(BinaryWriter &out) const
-{
-    snapshot().serialize(out);
-}
-
-void
-Histogram::deserialize(BinaryReader &in)
-{
-    HistogramSnapshot s;
-    const bool ok = s.deserialize(in);
-    PSCA_ASSERT(ok,
-                "histogram bucket-count mismatch (stale format?)");
-    std::lock_guard<std::mutex> lock(mu_);
-    count_ = s.count;
-    min_ = s.min;
-    max_ = s.max;
-    sum_ = s.sum;
-    sumSq_ = s.sumSq;
-    buckets_ = s.buckets;
 }
 
 StatRegistry &
@@ -399,16 +301,14 @@ void
 StatRegistry::writeJson(std::ostream &os,
                         const std::string &report_name) const
 {
-    // Delegating the stat sections to the snapshot codec guarantees a
-    // merged-snapshot report and a live-registry report are the same
-    // bytes (the §12 merge contract); capture() takes the registry
-    // lock internally.
+    // capture() takes the registry lock internally, so the sections
+    // are one consistent reading of every stat.
     StatSnapshot snap;
     snap.capture(*this);
     os << "{\n";
     os << "  \"report\": \"" << jsonEscape(report_name) << "\",\n";
     os << "  \"schema\": 1,\n";
-    snap.writeSections(os, /*trailing_comma=*/true);
+    snap.writeSections(os);
 
     // Structured events ride along only when something was logged, so
     // an event-free run's report keeps the pre-§12 byte layout.

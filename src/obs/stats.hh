@@ -24,14 +24,9 @@
  *    decision granularity (once per tens of thousands of simulated
  *    instructions), where an uncontended lock is noise. Moments are
  *    kept as exact 128-bit integer sums (value and value squared), so
- *    mean/variance are order-invariant, covered by the bit-identity
- *    contract, and merge deterministically across shards: any merge
- *    order of per-shard snapshots reproduces the single-registry
- *    report byte for byte (DESIGN.md §12).
- *  - Every stat is mergeable: Counter/Gauge/Histogram values combine
- *    through StatSnapshot (obs/snapshot.hh) with commutative,
- *    associative rules (sum / max / exact bucket+moment sums), the
- *    primitive the distributed coordinator consumes.
+ *    mean/variance are order-invariant and covered by the
+ *    bit-identity contract: the report bytes do not depend on which
+ *    thread recorded which sample.
  */
 
 #ifndef PSCA_OBS_STATS_HH
@@ -49,17 +44,13 @@
 #include <string>
 
 namespace psca {
-
-class BinaryReader;
-class BinaryWriter;
-
 namespace obs {
 
 /**
  * Exact 128-bit accumulator for histogram moments. Addition is
  * commutative and associative (mod 2^128 on overflow, which takes
- * ~4e9 samples at the moment clamp), so accumulation order — and
- * snapshot merge order — can never perturb the derived mean/variance.
+ * ~4e9 samples at the moment clamp), so accumulation order can never
+ * perturb the derived mean/variance.
  */
 using Uint128 = unsigned __int128;
 
@@ -251,15 +242,8 @@ class Histogram
 
     void reset();
 
-    /** Consistent copy of every field for merging/serialization. */
+    /** Consistent copy of every field (for the report writer). */
     HistogramSnapshot snapshot() const;
-
-    /** Fold another histogram's samples in (sharded aggregation). */
-    void merge(const HistogramSnapshot &other);
-
-    /** Binary round-trip in the serialize.hh cache idiom. */
-    void serialize(BinaryWriter &out) const;
-    void deserialize(BinaryReader &in);
 
   private:
     friend struct HistogramSnapshot;
@@ -273,12 +257,7 @@ class Histogram
     std::array<uint64_t, kNumBuckets> buckets_{};
 };
 
-/**
- * Plain-data copy of a Histogram, the unit of cross-shard merging.
- * merge() is commutative and associative, so folding N shards in any
- * order yields bit-identical state — and therefore byte-identical
- * derived mean/variance/percentiles in reports.
- */
+/** Plain-data copy of a Histogram, read by the report writer. */
 struct HistogramSnapshot
 {
     uint64_t count = 0;
@@ -294,13 +273,6 @@ struct HistogramSnapshot
 
     /** Same bucket-midpoint percentile as Histogram::percentile(). */
     uint64_t percentile(double p) const;
-
-    void merge(const HistogramSnapshot &other);
-
-    void serialize(BinaryWriter &out) const;
-
-    /** False (with the reader failed) on a bucket-layout mismatch. */
-    bool deserialize(BinaryReader &in);
 };
 
 /**

@@ -1,7 +1,7 @@
 /**
  * @file
  * Telemetry drift detection against the active firmware's training
- * scaler (DESIGN.md §15). Every block's cycle-normalized aggregate
+ * scaler (DESIGN.md §14). Every block's cycle-normalized aggregate
  * feature row is projected into the active scaler's z-space — the
  * exact transform the deployed model sees — and per-feature first and
  * second moments are accumulated over a fixed window of blocks. If

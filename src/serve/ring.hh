@@ -1,6 +1,6 @@
 /**
  * @file
- * Versioned firmware rollback ring (DESIGN.md §15): the on-disk store
+ * Versioned firmware rollback ring (DESIGN.md §14): the on-disk store
  * the adaptive service promotes retrained firmware into and rolls
  * back from. A ring directory holds immutable image files fw.v<N>.bin
  * plus one manifest naming the active version and the content

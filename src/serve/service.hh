@@ -1,6 +1,6 @@
 /**
  * @file
- * The online adaptation service (DESIGN.md §15, ROADMAP item 4): runs
+ * The online adaptation service (DESIGN.md §14, ROADMAP item 4): runs
  * the closed sim+controller loop indefinitely over a workload
  * schedule while managing the model lifecycle through an explicit
  * health state machine,
@@ -13,8 +13,8 @@
  * production guardrail. The drift detector (serve/drift.hh) watches
  * the active model's own input distribution; a drifted window
  * triggers a retrain on the current workload's record through the
- * journaled pipeline (trainDual — checkpoint/resume and the dist
- * fleet come for free). The retrained candidate runs as a SHADOW:
+ * journaled pipeline (trainDual — checkpoint/resume comes for
+ * free). The retrained candidate runs as a SHADOW:
  * scored on the same live telemetry the active model sees, decisions
  * never applied. After PSCA_SERVE_AB_INTERVALS scored blocks the
  * candidate is promoted only if it beats the active model's

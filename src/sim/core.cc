@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 
-#include "common/env.hh"
 #include "obs/phase.hh"
 #include "obs/stats.hh"
 
@@ -127,9 +126,6 @@ ClusteredCore::ClusteredCore(const CoreConfig &cfg)
     // never reallocates.
     fillBuffer_.reserve(2048);
     decodeBuf_.reserve(4096);
-
-    if (env::flagOr("PSCA_SIM_AOS", false))
-        replayPath_ = ReplayPath::AosOracle;
 }
 
 void

@@ -23,9 +23,10 @@
  * telemetry into a plain-struct accumulator flushed once per
  * interval, and addresses every circular structure with wrap
  * counters instead of modulo. The original array-of-structs fill()
- * path is kept as a correctness oracle behind ReplayPath::AosOracle
- * (env PSCA_SIM_AOS=1); both paths share one processUop(), so they
- * are bit-identical by construction.
+ * path is kept as a correctness oracle behind ReplayPath::AosOracle,
+ * which tests and bench_micro select through setReplayPath(); both
+ * paths share one processUop(), so they are bit-identical by
+ * construction.
  */
 
 #ifndef PSCA_SIM_CORE_HH

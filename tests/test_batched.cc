@@ -1,6 +1,6 @@
 /**
  * @file
- * Bit-identity tests for the SIMD-batched kernels (DESIGN.md §14):
+ * Bit-identity tests for the SIMD-batched kernels (DESIGN.md §13):
  * lockstep batched replay must reproduce the serial SoA replay's
  * counters, cycles, and interval stats exactly, and every model's
  * scoreBatch/predictBatch must match the scalar score/predict path

@@ -2,8 +2,8 @@
  * @file
  * Tests for validated environment-variable parsing (common/env.hh):
  * strict full-string parses, warn-and-default on garbage or
- * out-of-range values, and the unset-means-default convention every
- * PSCA_* knob relies on.
+ * out-of-range values, fail-fast on unknown enum tokens, and the
+ * unset-means-default convention every PSCA_* knob relies on.
  */
 
 #include <gtest/gtest.h>
@@ -138,10 +138,13 @@ TEST_F(EnvTest, EnumOrAcceptsOnlyListedTokens)
     EXPECT_EQ(env::enumOr(kVar, allowed, "default"), "default");
     set("quick");
     EXPECT_EQ(env::enumOr(kVar, allowed, "default"), "quick");
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     set("Quick"); // exact match only
-    EXPECT_EQ(env::enumOr(kVar, allowed, "default"), "default");
+    EXPECT_DEATH(env::enumOr(kVar, allowed, "default"),
+                 "expected one of quick.default.full");
     set("turbo");
-    EXPECT_EQ(env::enumOr(kVar, allowed, "default"), "default");
+    EXPECT_DEATH(env::enumOr(kVar, allowed, "default"),
+                 "PSCA_ENV_TEST_VAR='turbo'");
 }
 
 TEST_F(EnvTest, StringOrTreatsEmptyAsUnset)

@@ -102,6 +102,18 @@ TEST_F(FaultTest, MalformedSpecsAreFatal)
         "twice");
 }
 
+TEST_F(FaultTest, UnknownSitesAreFatal)
+{
+    // A typo'd or retired site name must not silently run fault-free.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto &reg = FaultRegistry::instance();
+    EXPECT_DEATH(reg.configure("uc.vm_trapp:0.1", seed_),
+                 "unknown site 'uc.vm_trapp'");
+    EXPECT_DEATH(reg.configure("net.conn_reset:0.5", seed_),
+                 "unknown site 'net.conn_reset'");
+    EXPECT_DEATH(reg.site("uc.vm_trapp"), "not in the catalog");
+}
+
 TEST_F(FaultTest, FireSequenceIsPureFunctionOfSeedSiteAndKey)
 {
     auto &reg = FaultRegistry::instance();

@@ -3,8 +3,7 @@
  * Tests for the observability layer: log2-bucketed histogram bucket
  * boundaries, percentile queries against known distributions, Welford
  * mean/variance against closed forms, scoped-timer phase nesting, the
- * stat registry, and report round-trips (binary via serialize.hh and
- * the JSON dump).
+ * stat registry, and the JSON report dump.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include <sstream>
 
 #include "common/parallel.hh"
-#include "common/serialize.hh"
 #include "obs/phase.hh"
 #include "obs/report.hh"
 #include "obs/stats.hh"
@@ -141,35 +139,6 @@ TEST(HistogramWelford, LargeUniformAgainstFormula)
     EXPECT_NEAR(h.mean(), (nn - 1.0) / 2.0, 1e-6);
     EXPECT_NEAR(h.variance(), (nn * nn - 1.0) / 12.0,
                 h.variance() * 1e-9);
-}
-
-TEST(HistogramSerialize, BinaryRoundTrip)
-{
-    const std::string path = "/tmp/psca_obs_hist.bin";
-    Histogram h;
-    for (uint64_t v = 1; v <= 1000; v += 3)
-        h.add(v * v);
-
-    {
-        BinaryWriter out(path);
-        h.serialize(out);
-        ASSERT_TRUE(out.good());
-    }
-    Histogram back;
-    {
-        BinaryReader in(path);
-        back.deserialize(in);
-        ASSERT_TRUE(in.good());
-    }
-    std::filesystem::remove(path);
-
-    EXPECT_EQ(back.count(), h.count());
-    EXPECT_EQ(back.min(), h.min());
-    EXPECT_EQ(back.max(), h.max());
-    EXPECT_DOUBLE_EQ(back.mean(), h.mean());
-    EXPECT_DOUBLE_EQ(back.variance(), h.variance());
-    for (double p : {50.0, 95.0, 99.0})
-        EXPECT_EQ(back.percentile(p), h.percentile(p));
 }
 
 TEST(StatRegistry, NamesAreStableIdentities)

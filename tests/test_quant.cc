@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the int8/fixed-point inference path (quant.hh,
- * DESIGN.md §14): tree traversal must be bit-exact against the float
+ * DESIGN.md §13): tree traversal must be bit-exact against the float
  * forest on dequantized inputs, MLP/linear logits must stay within
  * their provable error bounds, payloads must round-trip through the
  * v4 firmware image, and stale-version images must be rejected.

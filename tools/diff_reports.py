@@ -35,8 +35,6 @@ DEFAULT_IGNORE = [
     "trace.",    # span-trace event/drop accounting (telemetry plane)
     "events.",   # structured event-log accounting
     "http.",     # live-endpoint request counts
-    "dist.",     # fleet wire/assignment accounting (varies with -N)
-    "chaos.",    # chaos-soak schedule/recovery accounting
     "serve.",    # adaptation-service lifecycle accounting
     "drift.",    # drift-detector window statistics
 ]

@@ -12,60 +12,37 @@
  *   flash FW <app>            load a firmware image and run the
  *                             closed adaptation loop through the VM
  *
- *   fleet [--workers N]       run the campaign pipeline as a local
- *                             coordinator/worker fleet (DESIGN.md
- *                             §13, OPERATIONS.md); N=0 runs the same
- *                             campaign single-process. --supervise
- *                             restarts a crashed coordinator from
- *                             its journal (crash-resume).
- *   chaos [--workers N]       soak the fleet under a seeded network
- *                             fault schedule with one coordinator
- *                             kill+restart, then assert artifacts
- *                             byte-identical to a clean
- *                             single-process run
+ *   campaign [--out FW]       run the checkpointed campaign: PF
+ *                             screen, HDTR corpus, RF
+ *                             cross-validation, and a Best-RF dual
+ *                             train compiled to a firmware image
  *   serve [--schedule S]      run the online adaptation service:
  *                             drift detection, shadow validation,
  *                             and rollback-safe firmware hot-swap
  *                             over a workload schedule (DESIGN.md
- *                             §15); S = "app:blocks,app:blocks,..."
+ *                             §14); S = "app:blocks,app:blocks,..."
  *
  * <app> is either `spec:<name-substring>` (a SPEC2017 stand-in) or
  * `<category>:<seed>` with category in {hpc, cloud, ai, web, media,
  * games}.
  */
 
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <csignal>
-
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "common/env.hh"
-#include "common/journal.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "core/crossval.hh"
 #include "core/firmware_image.hh"
 #include "core/pipeline.hh"
-#include "dist/dist.hh"
 #include "obs/report.hh"
 #include "obs/stats.hh"
 #include "serve/service.hh"
 #include "sim/core.hh"
 #include "core/runner.hh"
-
-extern char **environ;
 
 using namespace psca;
 
@@ -94,15 +71,13 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: psca <counters|kernels|run|train|flash|"
-                 "fleet|chaos|serve> ...\n"
+                 "campaign|serve> ...\n"
                  "  psca counters [--all]\n"
                  "  psca kernels\n"
                  "  psca run <app> [--len N] [--mode high|low]\n"
                  "  psca train <app> [<app> ...] --out FW.bin\n"
                  "  psca flash FW.bin <app> [--len N]\n"
-                 "  psca fleet [--workers N] [--out FW.bin]\n"
-                 "             [--supervise] [--max-restarts K]\n"
-                 "  psca chaos [--workers N] [--seed S]\n"
+                 "  psca campaign [--out FW.bin]\n"
                  "  psca serve [--schedule \"app:blocks,...\"] "
                  "[--seed S]\n"
                  "             [--dir D] [--len N] [--blocks N]\n"
@@ -353,18 +328,25 @@ cmdFlash(int argc, char **argv)
 }
 
 /**
- * The campaign every fleet process runs, coordinator and workers
- * alike (the lockstep-redundant model of DESIGN.md §13): experiment
- * setup (PF screen + HDTR corpus — two Distributed scopes), a
- * checkpoint-tagged RF cross-validation (third), and a Best-RF dual
- * train whose forest fits are the fourth. Only which process
- * *executes* each unit differs; every process ends with the same
- * bytes in memory and on disk.
+ * The campaign: experiment setup (PF screen + HDTR corpus), a
+ * checkpoint-tagged RF cross-validation, and a Best-RF dual train
+ * whose forest fits are checkpointed too. Every fan-out runs on the
+ * thread pool and journals its units, so a killed campaign resumes,
+ * and its artifacts are byte-identical at any PSCA_THREADS.
  */
 int
-fleetCampaign(const std::string &out_path)
+cmdCampaign(int argc, char **argv)
 {
-    obs::RunReportGuard report("fleet");
+    std::string out_path = cacheDirectory() + "/campaign_fw.bin";
+    for (int i = 0; i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
+            out_path = argv[++i];
+        else
+            return usage();
+    }
+
+    const auto start = std::chrono::steady_clock::now();
+    obs::RunReportGuard report("campaign");
     const ScaleConfig scale = ScaleConfig::fromEnv();
     ExperimentContext ctx =
         setupExperiment(scale, /*need_spec=*/false);
@@ -393,506 +375,41 @@ fleetCampaign(const std::string &out_path)
         assembleDataset(ctx.hdtr, ao, ctx.build.intervalInstr);
     CrossValOptions cv;
     cv.rsvWindow = opts.rsvWindow;
-    cv.checkpointTag = "fleet.rf";
+    cv.checkpointTag = "campaign.rf";
     const CrossValSummary summary = crossValidate(ds, rf_factory, cv);
-    std::printf("fleet: crossval PGOS %.2f%% +/- %.2f, RSV %.2f%% "
+    std::printf("campaign: crossval PGOS %.2f%% +/- %.2f, RSV %.2f%% "
                 "+/- %.2f\n",
                 summary.pgosMean * 100, summary.pgosStd * 100,
                 summary.rsvMean * 100, summary.rsvStd * 100);
-    // Result-bearing stats: these (unlike the dist.*/runner.*
-    // accounting) must match between a fleet run and a
-    // single-process run — the fleet-smoke CI job diffs them.
     auto &reg = obs::StatRegistry::instance();
-    reg.gauge("fleet.crossval_pgos_pct").set(summary.pgosMean * 100);
-    reg.gauge("fleet.crossval_pgos_std").set(summary.pgosStd * 100);
-    reg.gauge("fleet.crossval_rsv_pct").set(summary.rsvMean * 100);
-    reg.gauge("fleet.crossval_rsv_std").set(summary.rsvStd * 100);
+    reg.gauge("campaign.crossval_pgos_pct").set(summary.pgosMean * 100);
+    reg.gauge("campaign.crossval_pgos_std").set(summary.pgosStd * 100);
+    reg.gauge("campaign.crossval_rsv_pct").set(summary.rsvMean * 100);
+    reg.gauge("campaign.crossval_rsv_std").set(summary.rsvStd * 100);
 
     TrainedDual dual =
         trainDual(ctx.hdtr, ctx.build, opts, rf_factory);
+    // The predictor name is written into the image; it keeps its
+    // historical value so images stay byte-identical across releases.
     DualModelPredictor predictor(dual.high, dual.low, opts.columns,
                                  opts.granularityInstr, "psca-fleet");
     const FirmwarePackage pkg =
         packageFromDual(predictor, opts.columns);
     pkg.save(out_path);
-    reg.gauge("fleet.fw_code_bytes")
+    reg.gauge("campaign.fw_code_bytes")
         .set(static_cast<double>(pkg.high.program.code.size() +
                                  pkg.low.program.code.size()));
-    std::printf("fleet: wrote %s\n", out_path.c_str());
-    return 0;
-}
-
-/**
- * fork+exec this binary with an explicitly rebuilt environment (no
- * setenv between fork and exec): inherited vars matching any of
- * @p drop_prefixes are removed, then @p extra_env is appended.
- */
-pid_t
-spawnSelf(const std::vector<std::string> &args,
-          const std::vector<std::string> &drop_prefixes,
-          const std::vector<std::string> &extra_env)
-{
-    std::vector<std::string> env;
-    for (char **e = environ; *e != nullptr; ++e) {
-        const std::string s(*e);
-        bool dropped = false;
-        for (const auto &p : drop_prefixes) {
-            if (s.rfind(p, 0) == 0) {
-                dropped = true;
-                break;
-            }
-        }
-        if (!dropped)
-            env.push_back(s);
-    }
-    env.insert(env.end(), extra_env.begin(), extra_env.end());
-
-    std::vector<std::string> args_copy = args;
-    std::vector<char *> argv;
-    for (auto &a : args_copy)
-        argv.push_back(a.data());
-    argv.push_back(nullptr);
-    std::vector<char *> envp;
-    for (auto &s : env)
-        envp.push_back(s.data());
-    envp.push_back(nullptr);
-
-    std::fflush(nullptr);
-    const pid_t pid = fork();
-    if (pid == 0) {
-        execve("/proc/self/exe", argv.data(), envp.data());
-        _exit(127);
-    }
-    return pid;
-}
-
-/** The env prefixes a fleet child must never inherit verbatim. */
-const std::vector<std::string> kFleetDropPrefixes = {
-    "PSCA_DIST_", "PSCA_JOURNAL=", "PSCA_REPORT_DIR=",
-    "PSCA_HTTP_PORT="};
-
-/**
- * fork+exec one worker: same binary, `fleet --workers 0`, with the
- * fleet role env spliced in. @p addr may be "auto" so the worker
- * finds the coordinator through the address file — the form that
- * survives coordinator restarts, which republish a fresh port.
- */
-pid_t
-spawnFleetWorker(int index, const std::string &addr,
-                 const std::string &out_path,
-                 const std::vector<std::string> &chaos_env = {})
-{
-    std::vector<std::string> extra = chaos_env;
-    extra.push_back("PSCA_DIST_ROLE=worker");
-    extra.push_back("PSCA_DIST_ADDR=" + addr);
-    // The coordinator owns the journal; workers report to their own
-    // directory so they cannot clobber the coordinator's run report.
-    extra.push_back("PSCA_JOURNAL=0");
-    const std::string rdir =
-        cacheDirectory() + "/workers/w" + std::to_string(index);
-    std::filesystem::create_directories(rdir);
-    extra.push_back("PSCA_REPORT_DIR=" + rdir);
-    return spawnSelf({"psca", "fleet", "--workers", "0", "--out",
-                      out_path},
-                     kFleetDropPrefixes, extra);
-}
-
-/**
- * fork+exec a coordinator child: `fleet --workers 0` with the
- * coordinator role spliced in, so cmdFleet in the child serves the
- * fleet without forking workers of its own. The supervisor parent
- * respawns it after a crash; the journal resumes completed work.
- */
-pid_t
-spawnFleetCoordinator(int workers, const std::string &out_path,
-                      const std::vector<std::string> &chaos_env = {})
-{
-    std::vector<std::string> extra = chaos_env;
-    extra.push_back("PSCA_DIST_ROLE=coordinator");
-    extra.push_back("PSCA_DIST_ADDR=auto");
-    extra.push_back("PSCA_DIST_WORKERS=" + std::to_string(workers));
-    // Unlike workers, the coordinator keeps the caller's journal and
-    // report settings: its journal is what makes the restart resume,
-    // and its fleet.json is the report of record.
-    return spawnSelf({"psca", "fleet", "--workers", "0", "--out",
-                      out_path},
-                     {"PSCA_DIST_", "PSCA_HTTP_PORT="}, extra);
-}
-
-int
-cmdFleet(int argc, char **argv)
-{
-    int workers = 4;
-    std::string out_path = cacheDirectory() + "/fleet_fw.bin";
-    bool supervised = false;
-    int max_restarts = 3;
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--workers") && i + 1 < argc)
-            workers = std::atoi(argv[i + 1]);
-        else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-            out_path = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--supervise"))
-            supervised = true;
-        else if (!std::strcmp(argv[i], "--max-restarts") &&
-                 i + 1 < argc)
-            max_restarts = std::atoi(argv[i + 1]);
-    }
-    if (workers < 0 || workers > 1024 || max_restarts < 0 ||
-        max_restarts > 1000)
-        return usage();
-
-    if (supervised && workers > 0 && dist::role() == dist::Role::Off)
-    {
-        // Crash-resume mode (DESIGN.md §13): the campaign runs in a
-        // supervised coordinator child; if it dies, runner::supervise
-        // respawns it and the journal replays completed units.
-        // Workers connect through the address file ("auto"), which
-        // each coordinator incarnation republishes, so they rejoin
-        // the replacement on their own.
-        std::error_code ec;
-        std::filesystem::remove(cacheDirectory() + "/dist_addr", ec);
-        std::printf("fleet: supervising a coordinator for %d "
-                    "workers (restart budget %d)\n",
-                    workers, max_restarts);
-        std::vector<pid_t> kids;
-        for (int i = 1; i <= workers; ++i)
-            kids.push_back(spawnFleetWorker(i, "auto", out_path));
-        const int rc = runner::supervise(
-            [&] { return spawnFleetCoordinator(workers, out_path); },
-            max_restarts, "fleet coordinator");
-        if (rc != 0) {
-            // The coordinator is gone for good: withdraw its address
-            // file so the workers stop trying to rejoin and fall
-            // back to finishing their remaining scopes locally.
-            std::filesystem::remove(cacheDirectory() + "/dist_addr",
-                                    ec);
-        }
-        for (pid_t pid : kids) {
-            int status = 0;
-            waitpid(pid, &status, 0);
-        }
-        return rc;
-    }
-
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<pid_t> kids;
-    if (workers > 0 && dist::role() == dist::Role::Off) {
-        setenv("PSCA_DIST_ROLE", "coordinator", 1);
-        setenv("PSCA_DIST_WORKERS",
-               std::to_string(workers).c_str(), 1);
-        dist::maybeInitFromEnv();
-        const std::string addr = dist::coordinatorAddress();
-        if (addr.empty()) {
-            std::fprintf(stderr,
-                         "fleet: coordinator failed to bind; "
-                         "running single-process\n");
-        } else {
-            std::printf("fleet: coordinating %d workers on %s\n",
-                        workers, addr.c_str());
-            for (int i = 1; i <= workers; ++i)
-                kids.push_back(
-                    spawnFleetWorker(i, addr, out_path));
-        }
-    }
-
-    const int rc = fleetCampaign(out_path);
-
-    // Release any worker still parked at a ScopeEnter before waiting
-    // on it: the Shutdown broadcast (and closed sockets) make
-    // lagging workers finish their remaining scopes locally.
-    if (!kids.empty())
-        dist::shutdown();
-
-    int bad = 0;
-    for (pid_t pid : kids) {
-        int status = 0;
-        waitpid(pid, &status, 0);
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-            ++bad;
-    }
-    if (bad > 0)
-        std::fprintf(stderr, "fleet: %d worker(s) exited abnormally "
-                             "(campaign still completed)\n",
-                     bad);
     const double secs =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
             .count();
-    std::printf("fleet: campaign complete in %.1f s (%zu worker "
-                "processes)\n",
-                secs, kids.size());
-    return rc;
+    std::printf("campaign: wrote %s in %.1f s\n", out_path.c_str(),
+                secs);
+    return 0;
 }
 
 /**
- * Scrape one stat out of a run-report JSON file without a JSON
- * parser: find `"name"`, skip to the colon, strtod the value. The
- * report writer (obs/snapshot.cc) emits flat `"name": value` pairs,
- * so this is exact for any stat name that appears at most once.
- * Returns 0 when the file or the stat is absent — matching the
- * lazily-created counters, which only exist once incremented.
- */
-double
-reportValue(const std::string &path, const std::string &name)
-{
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        return 0.0;
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    const std::string text = ss.str();
-    const std::string needle = "\"" + name + "\"";
-    const size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return 0.0;
-    const size_t colon = text.find(':', pos + needle.size());
-    if (colon == std::string::npos)
-        return 0.0;
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
-/** The env prefixes chaos children must never inherit. */
-const std::vector<std::string> kChaosDropPrefixes = {
-    "PSCA_DIST_",      "PSCA_JOURNAL=",    "PSCA_REPORT_DIR=",
-    "PSCA_HTTP_PORT=", "PSCA_CACHE_DIR=",  "PSCA_FAULTS=",
-    "PSCA_FAULT_SEED=", "PSCA_RESUME="};
-
-/**
- * Chaos soak (ISSUE: robustness): run the fleet campaign twice —
- * once clean and single-process, once as a fleet under a seeded
- * network fault schedule with one coordinator SIGKILL mid-scope —
- * and assert the artifacts are byte-identical. The schedule is
- * derived from --seed alone, so a failing soak replays exactly.
- */
-int
-cmdChaos(int argc, char **argv)
-{
-    int workers = static_cast<int>(
-        env::intOr("PSCA_CHAOS_WORKERS", 4, 1, 64));
-    uint64_t seed = static_cast<uint64_t>(
-        env::intOr("PSCA_CHAOS_SEED", 1234, 0,
-                   std::numeric_limits<long long>::max()));
-    for (int i = 0; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--workers"))
-            workers = std::atoi(argv[i + 1]);
-        else if (!std::strcmp(argv[i], "--seed"))
-            seed = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-    if (workers < 1 || workers > 64)
-        return usage();
-
-    const std::string ref_dir = cacheDirectory() + "/chaos_ref";
-    const std::string run_dir = cacheDirectory() + "/chaos_run";
-    std::error_code ec;
-    std::filesystem::remove_all(ref_dir, ec);
-    std::filesystem::remove_all(run_dir, ec);
-    std::filesystem::create_directories(ref_dir);
-    std::filesystem::create_directories(run_dir);
-
-    obs::RunReportGuard report("chaos");
-    auto &reg = obs::StatRegistry::instance();
-
-    // Phase 1: the clean reference — same campaign, one process, no
-    // fleet, no faults. Everything the chaos run produces must match
-    // these bytes.
-    std::printf("chaos: [1/3] clean single-process reference\n");
-    {
-        pid_t ref = spawnSelf({"psca", "fleet", "--workers", "0",
-                               "--out", ref_dir + "/fleet_fw.bin"},
-                              kChaosDropPrefixes,
-                              {"PSCA_CACHE_DIR=" + ref_dir,
-                               "PSCA_REPORT_DIR=" + ref_dir});
-        int status = 0;
-        waitpid(ref, &status, 0);
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-            std::fprintf(stderr,
-                         "chaos: reference run failed; aborting\n");
-            return 1;
-        }
-    }
-
-    // Phase 2: the chaos run. Fault rates are drawn from the seed so
-    // every soak uses a different-but-reproducible schedule; the
-    // same seed goes to the children as PSCA_FAULT_SEED, making each
-    // individual fire deterministic too.
-    Rng rng(mixSeeds(seed, 0x43484153u /* "CHAS" */));
-    std::ostringstream spec;
-    spec << "net.frame_corrupt:" << rng.uniform(0.002, 0.02)
-         << ",net.torn_send:" << rng.uniform(0.002, 0.02)
-         << ",net.conn_reset:" << rng.uniform(0.002, 0.02)
-         << ",net.recv_stall:" << rng.uniform(0.01, 0.05) << ":20"
-         << ",net.heartbeat_drop:0.2"
-         << ",net.dup_result:" << rng.uniform(0.05, 0.2);
-    const uint64_t kill_at = 2 + rng.below(4);
-    std::printf("chaos: [2/3] %d-worker fleet under '%s', "
-                "coordinator SIGKILL after %llu journal entries\n",
-                workers, spec.str().c_str(),
-                static_cast<unsigned long long>(kill_at));
-
-    const std::vector<std::string> fault_env = {
-        "PSCA_FAULTS=" + spec.str(),
-        "PSCA_FAULT_SEED=" + std::to_string(seed)};
-
-    std::vector<pid_t> kids;
-    for (int i = 1; i <= workers; ++i) {
-        const std::string rdir =
-            run_dir + "/workers/w" + std::to_string(i);
-        std::filesystem::create_directories(rdir);
-        std::vector<std::string> extra = fault_env;
-        extra.insert(extra.end(),
-                     {"PSCA_CACHE_DIR=" + run_dir,
-                      "PSCA_REPORT_DIR=" + rdir, "PSCA_JOURNAL=0",
-                      "PSCA_DIST_ROLE=worker", "PSCA_DIST_ADDR=auto",
-                      "PSCA_DIST_RETRIES=10",
-                      "PSCA_DIST_CONNECT_S=30",
-                      "PSCA_DIST_IO_TIMEOUT_S=30",
-                      "PSCA_DIST_HEARTBEAT_MS=100"});
-        kids.push_back(
-            spawnSelf({"psca", "fleet", "--workers", "0", "--out",
-                       run_dir + "/fleet_fw.bin"},
-                      kChaosDropPrefixes, extra));
-    }
-
-    // The killer thread waits for the coordinator's journal to show
-    // real mid-scope progress, then SIGKILLs whatever incarnation is
-    // currently alive. The supervisor respawns it; the journal
-    // replays its completed units; the workers rejoin through the
-    // republished address file.
-    std::atomic<pid_t> current{-1};
-    std::atomic<bool> killer_stop{false};
-    std::atomic<int> kills{0};
-    const std::string journal_path = run_dir + "/journal.psj";
-    std::thread killer([&] {
-        while (!killer_stop.load(std::memory_order_relaxed)) {
-            if (Journal::countEntries(journal_path) >= kill_at) {
-                const pid_t pid = current.load();
-                if (pid > 0 && ::kill(pid, SIGKILL) == 0) {
-                    kills.fetch_add(1);
-                    return;
-                }
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-        }
-    });
-
-    std::vector<std::string> coord_extra = fault_env;
-    coord_extra.insert(coord_extra.end(),
-                       {"PSCA_CACHE_DIR=" + run_dir,
-                        "PSCA_REPORT_DIR=" + run_dir,
-                        "PSCA_DIST_ROLE=coordinator",
-                        "PSCA_DIST_ADDR=auto",
-                        "PSCA_DIST_WORKERS=" +
-                            std::to_string(workers)});
-    const int rc_run = runner::supervise(
-        [&] {
-            return spawnSelf({"psca", "fleet", "--workers", "0",
-                              "--out", run_dir + "/fleet_fw.bin"},
-                             kChaosDropPrefixes, coord_extra);
-        },
-        /*max_restarts=*/3, "chaos coordinator", &current);
-    killer_stop.store(true);
-    killer.join();
-    if (kills.load() > 0)
-        emitEvent("chaos", LogLevel::Warn,
-                       "coordinator SIGKILLed after " +
-                           std::to_string(kill_at) +
-                           " journal entries and restarted");
-    if (rc_run != 0)
-        std::filesystem::remove(run_dir + "/dist_addr", ec);
-    for (pid_t pid : kids) {
-        int status = 0;
-        waitpid(pid, &status, 0);
-    }
-
-    // Phase 3: the verdict. Artifacts must be byte-identical; the
-    // coordinator's final report must show the recovery machinery
-    // actually exercised (>= 1 rejoin, no local fallback, network
-    // faults firing).
-    std::printf("chaos: [3/3] comparing artifacts\n");
-    auto read_all = [](const std::string &p) {
-        std::ifstream f(p, std::ios::binary);
-        std::ostringstream s;
-        s << f.rdbuf();
-        return s.str();
-    };
-    int compared = 0;
-    int mismatched = 0;
-    for (const auto &ent :
-         std::filesystem::directory_iterator(ref_dir))
-    {
-        if (!ent.is_regular_file())
-            continue;
-        const std::string name = ent.path().filename().string();
-        if (name != "fleet_fw.bin" && name.rfind("hdtr_", 0) != 0 &&
-            name.rfind("pf936_", 0) != 0)
-            continue;
-        ++compared;
-        const std::string other = run_dir + "/" + name;
-        if (!std::filesystem::exists(other, ec) ||
-            read_all(ent.path().string()) != read_all(other))
-        {
-            ++mismatched;
-            std::fprintf(stderr, "chaos: artifact DIVERGED: %s\n",
-                         name.c_str());
-        }
-    }
-
-    const std::string coord_report = run_dir + "/fleet.json";
-    const double rejoins = reportValue(coord_report, "dist.rejoins");
-    const double duplicates =
-        reportValue(coord_report, "dist.duplicate_results");
-    double fallbacks =
-        reportValue(coord_report, "dist.local_fallbacks");
-    double net_fires = 0.0;
-    static const char *const kNetSites[] = {
-        "net.frame_corrupt", "net.torn_send",      "net.conn_reset",
-        "net.recv_stall",    "net.heartbeat_drop", "net.dup_result"};
-    std::vector<std::string> reports = {coord_report};
-    for (int i = 1; i <= workers; ++i)
-        reports.push_back(run_dir + "/workers/w" +
-                          std::to_string(i) + "/fleet.json");
-    for (const auto &r : reports)
-        for (const char *site : kNetSites)
-            net_fires +=
-                reportValue(r, std::string("fault.") + site +
-                                   ".fires");
-    for (int i = 1; i <= workers; ++i)
-        fallbacks += reportValue(run_dir + "/workers/w" +
-                                     std::to_string(i) +
-                                     "/fleet.json",
-                                 "dist.local_fallbacks");
-
-    reg.gauge("chaos.workers").set(workers);
-    reg.gauge("chaos.seed").set(static_cast<double>(seed));
-    reg.gauge("chaos.kill_after_entries")
-        .set(static_cast<double>(kill_at));
-    reg.gauge("chaos.coordinator_kills").set(kills.load());
-    reg.gauge("chaos.artifacts_compared").set(compared);
-    reg.gauge("chaos.artifact_mismatches").set(mismatched);
-    reg.gauge("chaos.rejoins").set(rejoins);
-    reg.gauge("chaos.local_fallbacks").set(fallbacks);
-    reg.gauge("chaos.duplicate_results").set(duplicates);
-    reg.gauge("chaos.net_fault_fires").set(net_fires);
-
-    const bool pass = rc_run == 0 && compared >= 1 &&
-        mismatched == 0 && kills.load() >= 1 && rejoins >= 1 &&
-        fallbacks == 0 && net_fires >= 1;
-    std::printf(
-        "chaos: %d artifacts compared, %d diverged; %d coordinator "
-        "kill(s); %.0f rejoin(s), %.0f local fallback(s), %.0f "
-        "duplicate result(s), %.0f net fault fire(s)\n",
-        compared, mismatched, kills.load(), rejoins, fallbacks,
-        duplicates, net_fires);
-    std::printf("chaos: %s\n", pass ? "PASS — fleet under chaos is "
-                                      "byte-identical to the clean "
-                                      "single-process run"
-                                    : "FAIL");
-    return pass ? 0 : 1;
-}
-
-/**
- * psca serve — the online adaptation service (DESIGN.md §15). The
+ * psca serve — the online adaptation service (DESIGN.md §14). The
  * schedule is a comma list of "app:blocks" entries (the app spec
  * itself contains a colon, so the blocks count is split off at the
  * LAST colon). The default schedule shifts workload category halfway
@@ -982,10 +499,8 @@ run(int argc, char **argv)
         return cmdTrain(argc - 2, argv + 2);
     if (cmd == "flash")
         return cmdFlash(argc - 2, argv + 2);
-    if (cmd == "fleet")
-        return cmdFleet(argc - 2, argv + 2);
-    if (cmd == "chaos")
-        return cmdChaos(argc - 2, argv + 2);
+    if (cmd == "campaign")
+        return cmdCampaign(argc - 2, argv + 2);
     if (cmd == "serve")
         return cmdServe(argc - 2, argv + 2);
     return usage();
