@@ -242,43 +242,6 @@ BM_DecodedReplay(benchmark::State &state)
 BENCHMARK(BM_DecodedReplay);
 
 void
-BM_BatchedReplay(benchmark::State &state)
-{
-    // Lockstep batched replay (DESIGN.md §13): `lanes` independent
-    // cores advance one uop per trip, overlapping their serial
-    // timestamp chains. Items processed counts all lanes.
-    const size_t lanes = static_cast<size_t>(state.range(0));
-    constexpr uint64_t kInterval = 10000;
-    constexpr size_t kUops = 1u << 21;
-    TraceGenerator gen(mixedWorkload());
-    const DecodedTrace trace = decodeTrace(gen, kUops);
-    std::vector<std::unique_ptr<ClusteredCore>> cores;
-    for (size_t i = 0; i < lanes; ++i) {
-        cores.push_back(std::make_unique<ClusteredCore>());
-        cores[i]->reset();
-        cores[i]->setMode(CoreMode::HighPerf);
-    }
-    std::vector<ReplayLane> ls(lanes);
-    size_t base = 0;
-    for (auto _ : state) {
-        for (size_t i = 0; i < lanes; ++i) {
-            ls[i].core = cores[i].get();
-            ls[i].trace = &trace;
-            ls[i].begin = base;
-            ls[i].n = kInterval;
-        }
-        ClusteredCore::runBatch(ls.data(), lanes);
-        base += kInterval;
-        if (base + kInterval > trace.size())
-            base = 0;
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(lanes * kInterval));
-    state.SetLabel("lanes=" + std::to_string(lanes));
-}
-BENCHMARK(BM_BatchedReplay)->Arg(4)->Arg(8)->Arg(16);
-
-void
 BM_PredictBatch_forest(benchmark::State &state)
 {
     const Dataset d = randomData(4096, 12, 9);
@@ -322,7 +285,7 @@ BENCHMARK(BM_PredictBatch_mlp);
 void
 BM_PredictQuant(benchmark::State &state)
 {
-    // Int8 fixed-point scoring (the PSCA_UC_FIXED firmware path).
+    // Int8 fixed-point scoring (the fixed-point firmware path).
     const Dataset d = randomData(4096, 12, 11);
     ForestConfig fc;
     fc.numTrees = 8;
@@ -550,60 +513,6 @@ recordReplayThroughput()
 }
 
 /**
- * Wall-clock the lockstep batched replay (best of three passes) and
- * record aggregate Muops/s next to the serial SoA gauge, so the
- * perf-smoke job ratchets the batching win. Lanes replay the same
- * trace from the same offset — the throughput number counts uops
- * retired across all lanes per wall-second, which is how the dataset
- * builder consumes the kernel (many chips, one trace).
- */
-void
-recordBatchedReplayThroughput()
-{
-    using clock = std::chrono::steady_clock;
-    constexpr uint64_t kInterval = 10000;
-    constexpr uint64_t kIntervals = (1u << 21) / kInterval;
-    constexpr uint64_t kUops = kIntervals * kInterval;
-    constexpr size_t kLanes = 8;
-    TraceGenerator gen(mixedWorkload());
-    const DecodedTrace trace = decodeTrace(gen, kUops);
-
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-        std::vector<std::unique_ptr<ClusteredCore>> cores;
-        for (size_t i = 0; i < kLanes; ++i) {
-            cores.push_back(std::make_unique<ClusteredCore>());
-            cores[i]->reset();
-            cores[i]->setMode(CoreMode::HighPerf);
-        }
-        std::vector<ReplayLane> lanes(kLanes);
-        const auto start = clock::now();
-        for (uint64_t t = 0; t < kIntervals; ++t) {
-            for (size_t i = 0; i < kLanes; ++i) {
-                lanes[i].core = cores[i].get();
-                lanes[i].trace = &trace;
-                lanes[i].begin = t * kInterval;
-                lanes[i].n = kInterval;
-            }
-            ClusteredCore::runBatch(lanes.data(), kLanes);
-        }
-        const double s =
-            std::chrono::duration<double>(clock::now() - start)
-                .count();
-        const double muops =
-            s > 0.0 ? kUops * kLanes / s / 1e6 : 0.0;
-        if (muops > best)
-            best = muops;
-    }
-    obs::StatRegistry::instance()
-        .gauge("sim.replay_batched_muops_per_s")
-        .set(best);
-    std::printf("batched replay: %.1f Muops/s aggregate over %zu "
-                "lanes\n",
-                best, kLanes);
-}
-
-/**
  * Wall-clock scoreBatch against the per-sample score loop for the
  * forest and the MLP (best of three passes each) and record the
  * throughputs plus speedup ratios as gauges. The forest ratio is the
@@ -728,7 +637,6 @@ run(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     recordReplayThroughput();
-    recordBatchedReplayThroughput();
     recordPredictBatchSpeedup();
     recordCrossvalSpeedup();
     recordPhaseOverhead();

@@ -1,8 +1,8 @@
 /**
  * @file
- * Fixed-point firmware bench (ISSUE 8, DESIGN.md §13): what does the
- * int8 uc path (PSCA_UC_FIXED=1) cost in prediction quality and what
- * does it buy in the uc ops budget?
+ * Fixed-point firmware bench (DESIGN.md §13): what does the int8 uc
+ * path (packageFromDual's fixed_point packaging) cost in prediction
+ * quality and what does it buy in the uc ops budget?
  *
  * Three sections, all recorded as gauges in BENCH_quant.json:
  *  1. Offline deltas per model class (forest / MLP / logistic):
@@ -19,7 +19,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include <algorithm>
 #include <cmath>
@@ -328,14 +327,11 @@ run()
                                  opts.granularityInstr, "quant");
     std::vector<size_t> cols(opts.columns.begin(), opts.columns.end());
 
-    unsetenv("PSCA_UC_FIXED");
     VmPredictor vm_float(packageFromDual(predictor, cols));
     const ClosedLoopResult float_run =
         runClosedLoop(workload, record, vm_float, build, SlaSpec{});
 
-    setenv("PSCA_UC_FIXED", "1", 1);
-    VmPredictor vm_fixed(packageFromDual(predictor, cols));
-    unsetenv("PSCA_UC_FIXED");
+    VmPredictor vm_fixed(packageFromDual(predictor, cols, true));
     const ClosedLoopResult fixed_run =
         runClosedLoop(workload, record, vm_fixed, build, SlaSpec{});
 

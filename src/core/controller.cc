@@ -12,47 +12,18 @@
 
 namespace psca {
 
-DualModelPredictor::DualModelPredictor(ScaledModel high,
-                                       ScaledModel low,
-                                       std::vector<size_t> columns,
-                                       uint64_t granularity,
-                                       std::string name)
-    : high_(std::move(high)), low_(std::move(low)),
-      columns_(std::move(columns)), granularity_(granularity),
-      name_(std::move(name))
-{}
+namespace {
+
+/** Clamp envelope of sanitizeFeatures(). */
+constexpr float kMaxAbsZ = 24.0f;
+
+} // namespace
 
 bool
-DualModelPredictor::decide(const std::vector<const float *> &sub_rows,
-                           const std::vector<float> &sub_cycles,
-                           CoreMode mode)
+sanitizeFeatures(std::vector<float> &features)
 {
-    // Aggregate the block and cycle-normalize (Sec. 4.1).
-    std::vector<float> agg(columns_.size(), 0.0f);
-    double cycles = 0.0;
-    for (size_t t = 0; t < sub_rows.size(); ++t) {
-        for (size_t j = 0; j < columns_.size(); ++j)
-            agg[j] += sub_rows[t][columns_[j]];
-        cycles += sub_cycles[t];
-    }
-    const float inv =
-        cycles > 0.0 ? static_cast<float>(1.0 / cycles) : 0.0f;
-    for (auto &v : agg)
-        v *= inv;
-
-    const ScaledModel &slot =
-        mode == CoreMode::HighPerf ? high_ : low_;
-    std::vector<float> scaled(agg.size());
-    slot.scaler.applyRow(agg.data(), scaled.data());
-
-    // Input sanitation (always on): faulted telemetry can hand the
-    // model NaN/Inf or values far outside the trained distribution.
-    // Non-finite inputs veto straight to high-performance mode (the
-    // fail-safe configuration); finite outliers are clamped to a
-    // generous z-score envelope no healthy snapshot reaches.
-    constexpr float kMaxAbsZ = 24.0f;
     size_t clamped = 0;
-    for (auto &z : scaled) {
+    for (auto &z : features) {
         if (!std::isfinite(z)) {
             obs::StatRegistry::instance()
                 .counter("controller.sanitize_vetoes")
@@ -72,7 +43,53 @@ DualModelPredictor::decide(const std::vector<const float *> &sub_rows,
             .counter("controller.sanitized_inputs")
             .add(clamped);
     }
-    return slot.model->predict(scaled.data());
+    return true;
+}
+
+bool
+blockFeatures(const std::vector<const float *> &sub_rows,
+              const std::vector<float> &sub_cycles,
+              const std::vector<uint32_t> &columns,
+              const FeatureScaler *scaler, std::vector<float> &features)
+{
+    features.assign(columns.size(), 0.0f);
+    double cycles = 0.0;
+    for (size_t t = 0; t < sub_rows.size(); ++t) {
+        for (size_t j = 0; j < columns.size(); ++j)
+            features[j] += sub_rows[t][columns[j]];
+        cycles += sub_cycles[t];
+    }
+    const float inv =
+        cycles > 0.0 ? static_cast<float>(1.0 / cycles) : 0.0f;
+    for (auto &v : features)
+        v *= inv;
+    if (!scaler)
+        return true;
+    scaler->applyRow(features.data(), features.data());
+    return sanitizeFeatures(features);
+}
+
+DualModelPredictor::DualModelPredictor(ScaledModel high,
+                                       ScaledModel low,
+                                       std::vector<size_t> columns,
+                                       uint64_t granularity,
+                                       std::string name)
+    : high_(std::move(high)), low_(std::move(low)),
+      columns_(columns.begin(), columns.end()),
+      granularity_(granularity), name_(std::move(name))
+{}
+
+bool
+DualModelPredictor::decide(const std::vector<const float *> &sub_rows,
+                           const std::vector<float> &sub_cycles,
+                           CoreMode mode)
+{
+    const ScaledModel &slot =
+        mode == CoreMode::HighPerf ? high_ : low_;
+    std::vector<float> z;
+    if (!blockFeatures(sub_rows, sub_cycles, columns_, &slot.scaler, z))
+        return false;
+    return slot.model->predict(z.data());
 }
 
 uint32_t
@@ -113,16 +130,10 @@ SrchPredictor::decide(const std::vector<const float *> &sub_rows,
 
     std::vector<float> features(model->encoder().numFeatures());
     model->encoder().encode(row_ptrs, features.data());
-    // Same fail-safe as DualModelPredictor: a non-finite feature
-    // (corrupt telemetry) vetoes to high-performance mode.
-    for (const float f : features) {
-        if (!std::isfinite(f)) {
-            obs::StatRegistry::instance()
-                .counter("controller.sanitize_vetoes")
-                .add();
-            return false;
-        }
-    }
+    // Same sanitation as DualModelPredictor. Histogram features are
+    // bucket fractions in [0, 1], so only the non-finite veto fires.
+    if (!sanitizeFeatures(features))
+        return false;
     return model->predict(features.data());
 }
 

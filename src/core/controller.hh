@@ -17,8 +17,10 @@
 #ifndef PSCA_CORE_CONTROLLER_HH
 #define PSCA_CORE_CONTROLLER_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/builder.hh"
 #include "core/metrics.hh"
@@ -57,6 +59,33 @@ class GatePredictor
     virtual std::string name() const = 0;
 };
 
+/**
+ * Input sanitation (always on): faulted telemetry can hand a model
+ * NaN/Inf or values far outside the trained distribution. A
+ * non-finite feature vetoes straight to high-performance mode (the
+ * fail-safe configuration): returns false and counts
+ * `controller.sanitize_vetoes`. Otherwise finite values beyond
+ * +/-kMaxAbsZ (24, a z-score envelope no healthy snapshot reaches)
+ * are clamped and counted in `controller.sanitized_inputs`.
+ */
+bool sanitizeFeatures(std::vector<float> &features);
+
+/**
+ * The block-level decision front end (Sec. 4.1), shared by
+ * DualModelPredictor, the firmware's VmPredictor and the serve drift
+ * monitor so all three see one input row. Sums @p columns of the
+ * block's sub-interval rows into @p features and divides by the
+ * block's cycles (double sum, float inverse). With a @p scaler, also
+ * z-scales through it and sanitizes the result.
+ *
+ * @return false when sanitation vetoes the decision.
+ */
+bool blockFeatures(const std::vector<const float *> &sub_rows,
+                   const std::vector<float> &sub_cycles,
+                   const std::vector<uint32_t> &columns,
+                   const FeatureScaler *scaler,
+                   std::vector<float> &features);
+
 /** One mode's scaler+model slot. */
 struct ScaledModel
 {
@@ -92,7 +121,7 @@ class DualModelPredictor : public GatePredictor
   private:
     ScaledModel high_;
     ScaledModel low_;
-    std::vector<size_t> columns_;
+    std::vector<uint32_t> columns_;
     uint64_t granularity_;
     std::string name_;
 };

@@ -1,7 +1,6 @@
 #include "core/firmware_image.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/journal.hh"
@@ -20,7 +19,7 @@ namespace {
 
 constexpr uint64_t kMagic = 0x50534341465731ULL; // "PSCAFW1"
 constexpr uint32_t kFwVersion = 4; // 4: fixed-point slot payloads
-                                   //    (PSCA_UC_FIXED); 3: padding-
+                                   //    (int8 packaging); 3: padding-
                                    //    free instruction encoding
                                    //    (byte-reproducible images);
                                    //    2: checksum trailer
@@ -173,7 +172,7 @@ FirmwarePackage::load(const std::string &path)
 
 FirmwarePackage
 packageFromDual(const DualModelPredictor &predictor,
-                const std::vector<size_t> &columns)
+                const std::vector<size_t> &columns, bool fixed_point)
 {
     FirmwarePackage pkg;
     pkg.name = predictor.name() + ".fw";
@@ -190,10 +189,10 @@ packageFromDual(const DualModelPredictor &predictor,
     pkg.low.threshold =
         static_cast<float>(predictor.lowSlot().model->threshold());
 
-    // PSCA_UC_FIXED=1: also carry the int8 tables; the package then
+    // Int8 packaging: also carry the int8 tables; the package then
     // declares itself fixed-point and VmPredictor scores with the
     // quantized path under the int8 ops budget (quant.hh).
-    if (quant::ucFixedPointEnabled()) {
+    if (fixed_point) {
         pkg.high.quantPayload =
             quant::packPayload(*predictor.highSlot().model);
         pkg.low.quantPayload =
@@ -205,8 +204,8 @@ packageFromDual(const DualModelPredictor &predictor,
                 quant::payloadOps(pkg.high.quantPayload);
             pkg.low.quantOps = quant::payloadOps(pkg.low.quantPayload);
         } else {
-            warn("PSCA_UC_FIXED=1 but model class has no quantized "
-                 "form; packaging the float path only");
+            warn("int8 packaging requested but model class has no "
+                 "quantized form; packaging the float path only");
             pkg.high.quantPayload.clear();
             pkg.low.quantPayload.clear();
         }
@@ -243,49 +242,15 @@ VmPredictor::decide(const std::vector<const float *> &sub_rows,
                     const std::vector<float> &sub_cycles,
                     CoreMode mode)
 {
-    // Aggregate + cycle-normalize the block, as the telemetry
-    // convergence point does before handing data to firmware.
-    std::vector<float> agg(package_.columns.size(), 0.0f);
-    double cycles = 0.0;
-    for (size_t t = 0; t < sub_rows.size(); ++t) {
-        for (size_t j = 0; j < agg.size(); ++j)
-            agg[j] += sub_rows[t][package_.columns[j]];
-        cycles += sub_cycles[t];
-    }
-    const float inv =
-        cycles > 0.0 ? static_cast<float>(1.0 / cycles) : 0.0f;
-    for (auto &v : agg)
-        v *= inv;
-
+    // The telemetry convergence point's aggregate, cycle-normalize,
+    // scale and sanitize, exactly as DualModelPredictor does: the
+    // firmware path sees the identical faulted telemetry view.
     const FirmwareSlot &slot =
         mode == CoreMode::HighPerf ? package_.high : package_.low;
-    std::vector<float> scaled(agg.size());
-    slot.scaler.applyRow(agg.data(), scaled.data());
-
-    // Same input sanitation as DualModelPredictor: the firmware path
-    // sees the identical faulted telemetry view.
-    constexpr float kMaxAbsZ = 24.0f;
-    size_t clamped = 0;
-    for (auto &z : scaled) {
-        if (!std::isfinite(z)) {
-            obs::StatRegistry::instance()
-                .counter("controller.sanitize_vetoes")
-                .add();
-            return false;
-        }
-        if (z > kMaxAbsZ) {
-            z = kMaxAbsZ;
-            ++clamped;
-        } else if (z < -kMaxAbsZ) {
-            z = -kMaxAbsZ;
-            ++clamped;
-        }
-    }
-    if (clamped > 0) {
-        obs::StatRegistry::instance()
-            .counter("controller.sanitized_inputs")
-            .add(clamped);
-    }
+    std::vector<float> scaled;
+    if (!blockFeatures(sub_rows, sub_cycles, package_.columns,
+                       &slot.scaler, scaled))
+        return false;
 
     if (package_.fixedPoint) {
         // The uc runs the int8 tables; the sanitized features snap to

@@ -34,7 +34,7 @@ struct FirmwareSlot
     float threshold = 0.5f;
     /**
      * Int8/fixed-point model tables (quant::packPayload), present
-     * when the package was built with `PSCA_UC_FIXED=1`. Empty in
+     * when the package was built with int8 packaging. Empty in
      * float-only packages.
      */
     std::string quantPayload;
@@ -80,10 +80,13 @@ struct FirmwarePackage
 /**
  * Build a package from a trained dual predictor by compiling both
  * models (supported model classes: MLP, random forest, logistic
- * regression).
+ * regression). With @p fixed_point the package also carries the int8
+ * tables and the uc scores with them (quant.hh); a model class with
+ * no quantized form falls back to a float-only package.
  */
 FirmwarePackage packageFromDual(const DualModelPredictor &predictor,
-                                const std::vector<size_t> &columns);
+                                const std::vector<size_t> &columns,
+                                bool fixed_point = false);
 
 /** Runs a loaded firmware package through the VM. */
 class VmPredictor : public GatePredictor

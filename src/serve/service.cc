@@ -252,26 +252,6 @@ Service::enterSegment(size_t idx)
     segBlocksDone_ = 0;
 }
 
-std::vector<float>
-Service::aggregateRow(const std::vector<const float *> &rows,
-                      const std::vector<float> &cycles) const
-{
-    // Same aggregate + cycle-normalize as DualModelPredictor::decide,
-    // so the drift detector watches exactly the model's input row.
-    std::vector<float> agg(activePkg_.columns.size(), 0.0f);
-    double total = 0.0;
-    for (size_t t = 0; t < rows.size(); ++t) {
-        for (size_t j = 0; j < agg.size(); ++j)
-            agg[j] += rows[t][activePkg_.columns[j]];
-        total += cycles[t];
-    }
-    const float inv =
-        total > 0.0 ? static_cast<float>(1.0 / total) : 0.0f;
-    for (auto &v : agg)
-        v *= inv;
-    return agg;
-}
-
 void
 Service::stepBlock()
 {
@@ -373,7 +353,10 @@ Service::stepBlock()
     // Drift detection runs on every block; the verdict only acts in
     // HEALTHY outside the cooldown, but windows keep their cadence
     // in every state so the block->window mapping is state-free.
-    drift_.observe(aggregateRow(rows, cycles), mode, trips_delta);
+    // The drift detector watches exactly the model's input row.
+    std::vector<float> agg;
+    blockFeatures(rows, cycles, activePkg_.columns, nullptr, agg);
+    drift_.observe(agg, mode, trips_delta);
     if (drift_.windowComplete()) {
         const DriftVerdict v = drift_.takeWindow();
         lastMaxZ_ = v.maxAbsMeanZ;

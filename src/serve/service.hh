@@ -161,9 +161,6 @@ class Service
     void evaluateShadowGate();
     void evaluateProbation();
     void finishRun();
-    std::vector<float> aggregateRow(
-        const std::vector<const float *> &rows,
-        const std::vector<float> &cycles) const;
     void updateHealthView();
 
     ServeConfig cfg_;

@@ -18,8 +18,10 @@
  * microcode on cluster 1, then clock-gates cluster 2 (tens of
  * cycles); ungating is a few cycles.
  *
- * Hot path (DESIGN.md §9): the replay loop consumes a pre-decoded
- * structure-of-arrays trace (trace/decoded.hh), batches all per-uop
+ * Hot path (DESIGN.md §9): there is one replay kernel, entered
+ * through run(TraceGenerator&, n) or run(const DecodedTrace&, ...);
+ * it consumes a pre-decoded structure-of-arrays trace
+ * (trace/decoded.hh) one micro-op at a time, batches all per-uop
  * telemetry into a plain-struct accumulator flushed once per
  * interval, and addresses every circular structure with wrap
  * counters instead of modulo. The original array-of-structs fill()
@@ -59,24 +61,6 @@ struct IntervalStats
                 static_cast<double>(cycles)
                       : 0.0;
     }
-};
-
-class ClusteredCore;
-
-/**
- * One lane of a batched replay (ClusteredCore::runBatch). Each lane
- * is an independent (core, decoded-trace window) pair: the kernel
- * advances every lane one micro-op per loop trip, so the serial
- * timestamp chains of up to kMaxReplayLanes chips overlap in the
- * host's out-of-order window instead of stalling back to back.
- */
-struct ReplayLane
-{
-    ClusteredCore *core = nullptr;
-    const DecodedTrace *trace = nullptr;
-    size_t begin = 0;
-    uint64_t n = 0;
-    IntervalStats stats; //!< out: this lane's interval summary
 };
 
 /** Which trace representation run(TraceGenerator&, n) replays. */
@@ -157,21 +141,6 @@ class ClusteredCore
      */
     IntervalStats run(const DecodedTrace &trace, size_t begin,
                       uint64_t n);
-
-    /** Upper bound on runBatch lane count (state must stay cached). */
-    static constexpr size_t kMaxReplayLanes = 16;
-
-    /**
-     * Advance up to kMaxReplayLanes independent (core, trace window)
-     * lanes in lockstep, one micro-op per lane per loop trip. Each
-     * lane's core executes exactly the processUop() sequence that
-     * lanes[i].core->run(*lanes[i].trace, begin, n) would, so
-     * per-core counters, cycles, and gating labels are bit-identical
-     * to the serial SoA path by construction; the interleave only
-     * overlaps the independent lanes' dependency chains. Fills
-     * lanes[i].stats. Lanes must reference distinct cores.
-     */
-    static void runBatch(ReplayLane *lanes, size_t count);
 
     /** Select the replay representation (tests/benches). */
     void setReplayPath(ReplayPath path) { replayPath_ = path; }

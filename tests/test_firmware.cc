@@ -2,17 +2,22 @@
  * @file
  * Tests for the deployable firmware package (save/load round trip,
  * VM-executed decisions matching native decisions in the closed
- * loop) and the fail-safe guardrail.
+ * loop, the shared decision front end's input sanitation) and the
+ * fail-safe guardrail.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
+#include "common/rng.hh"
 #include "core/firmware_image.hh"
 #include "core/guardrail.hh"
 #include "core/pipeline.hh"
+#include "ml/tree.hh"
+#include "obs/stats.hh"
 
 using namespace psca;
 
@@ -128,6 +133,98 @@ TEST(FirmwarePackage, VmDecisionsMatchNativeClosedLoop)
     EXPECT_DOUBLE_EQ(a.lowResidency, b.lowResidency);
     EXPECT_NEAR(a.ppwGainPct, b.ppwGainPct, 1e-9);
     EXPECT_GT(vm.vmOpsExecuted(), 0u);
+}
+
+TEST(FirmwarePackage, SharedFrontEndSanitizesLikeNative)
+{
+    // Identity scaler, so a crafted block's z-scores are its
+    // cycle-normalized column means.
+    Dataset data;
+    data.numFeatures = 6;
+    Rng rng(41);
+    std::vector<float> x(6);
+    for (uint32_t i = 0; i < 400; ++i) {
+        float sum = 0.0f;
+        for (auto &v : x) {
+            v = static_cast<float>(rng.uniform() * 4.0 - 2.0);
+            sum += v;
+        }
+        data.addSample(x.data(), sum > 0.0f ? 1 : 0, i % 7, i % 13);
+    }
+    ForestConfig fc;
+    fc.numTrees = 4;
+    fc.maxDepth = 6;
+    FeatureScaler identity;
+    identity.mean.assign(6, 0.0f);
+    identity.invStd.assign(6, 1.0f);
+    const ScaledModel slot{identity,
+                           std::make_shared<RandomForest>(data, fc)};
+    // Model inputs are columns 1..6 of 8-wide telemetry rows.
+    const std::vector<size_t> cols{1, 2, 3, 4, 5, 6};
+    DualModelPredictor native(slot, slot, cols, 20000, "front_end");
+    VmPredictor vm(packageFromDual(native, cols));
+
+    // Two sub-intervals of 1000 cycles: column c of both rows set to
+    // z * 1000 yields z after aggregation and normalization.
+    const std::vector<float> cycles{1000.0f, 1000.0f};
+    auto block = [](const std::vector<float> &z) {
+        std::vector<std::vector<float>> rows(2,
+                                             std::vector<float>(8, 7.0f));
+        for (auto &row : rows)
+            for (size_t j = 0; j < z.size(); ++j)
+                row[j + 1] = z[j] * 1000.0f;
+        return rows;
+    };
+    auto ptrs = [](const std::vector<std::vector<float>> &rows) {
+        return std::vector<const float *>{rows[0].data(),
+                                          rows[1].data()};
+    };
+    auto counter = [](const char *name) -> uint64_t {
+        return obs::StatRegistry::instance().counter(name).value();
+    };
+
+    // In-range blocks: both paths decide identically.
+    for (int i = 0; i < 64; ++i) {
+        std::vector<float> z(6);
+        for (auto &v : z)
+            v = static_cast<float>(rng.uniform() * 4.0 - 2.0);
+        const auto rows = block(z);
+        for (const CoreMode mode :
+             {CoreMode::HighPerf, CoreMode::LowPower}) {
+            EXPECT_EQ(native.decide(ptrs(rows), cycles, mode),
+                      vm.decide(ptrs(rows), cycles, mode))
+                << "block " << i;
+        }
+    }
+
+    // Non-finite telemetry vetoes to high-performance mode, counted
+    // once per decision however many features are corrupt.
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+        auto rows = block({1.0f, 1.0f, 1.0f, 1.0f, 1.0f, 1.0f});
+        rows[0][2] = bad;
+        rows[1][5] = -bad;
+        const uint64_t vetoes = counter("controller.sanitize_vetoes");
+        EXPECT_FALSE(native.decide(ptrs(rows), cycles,
+                                   CoreMode::HighPerf));
+        EXPECT_EQ(counter("controller.sanitize_vetoes"), vetoes + 1);
+        EXPECT_FALSE(vm.decide(ptrs(rows), cycles, CoreMode::HighPerf));
+        EXPECT_EQ(counter("controller.sanitize_vetoes"), vetoes + 2);
+    }
+
+    // Finite out-of-envelope features (|z| > 24) are clamped and
+    // counted identically on both paths.
+    const auto wild = block({100.0f, 0.5f, -50.0f, 0.0f, 30.0f, -1.0f});
+    const uint64_t clamps = counter("controller.sanitized_inputs");
+    const uint64_t vetoes = counter("controller.sanitize_vetoes");
+    const bool native_gate =
+        native.decide(ptrs(wild), cycles, CoreMode::LowPower);
+    EXPECT_EQ(counter("controller.sanitized_inputs"), clamps + 3);
+    const bool vm_gate =
+        vm.decide(ptrs(wild), cycles, CoreMode::LowPower);
+    EXPECT_EQ(counter("controller.sanitized_inputs"), clamps + 6);
+    EXPECT_EQ(native_gate, vm_gate);
+    EXPECT_EQ(counter("controller.sanitize_vetoes"), vetoes);
 }
 
 TEST(FirmwarePackage, LoadRejectsGarbage)
