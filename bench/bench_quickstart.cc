@@ -1,11 +1,11 @@
 /**
  * @file
- * Telemetry-plane overhead bench: the quickstart pipeline (record
+ * Span-tracing overhead bench: the quickstart pipeline (record
  * dual-mode telemetry, train the dual model, run closed-loop gating)
- * wall-clocked with the telemetry plane off and then fully on (span
- * tracing to a file + live HTTP endpoint), recording both times and
- * the overhead percentage as gauges in BENCH_quickstart.json. The
- * acceptance bar (ISSUE 6, DESIGN.md §12) is <= 2% overhead.
+ * wall-clocked with span tracing off and then on (spans to a trace
+ * file), recording both times and the overhead percentage as gauges
+ * in BENCH_quickstart.json. The acceptance bar (DESIGN.md §12) is
+ * <= 2% overhead.
  */
 
 #include <cstdio>
@@ -17,8 +17,6 @@
 #include "core/controller.hh"
 #include "core/pipeline.hh"
 #include "core/runner.hh"
-#include "ml/tree.hh"
-#include "obs/http.hh"
 #include "obs/trace.hh"
 
 using namespace psca;
@@ -54,16 +52,7 @@ quickstartOnce()
     opts.granularityInstr = 40000;
     opts.columns = {0, 1, 2, 3, 4, 5, 6, 7};
     opts.rsvWindow = 400;
-    TrainedDual dual = trainDual(
-        {record}, build, opts,
-        [](const Dataset &tune,
-           uint64_t seed) -> std::unique_ptr<Model> {
-            ForestConfig fc;
-            fc.numTrees = 8;
-            fc.maxDepth = 8;
-            fc.seed = seed;
-            return std::make_unique<RandomForest>(tune, fc);
-        });
+    TrainedDual dual = trainDual({record}, build, opts, forestFactory(8, 8));
 
     DualModelPredictor predictor(dual.high, dual.low, opts.columns,
                                  opts.granularityInstr, "quickstart");
@@ -95,7 +84,7 @@ bestOf(int reps)
 static int
 run()
 {
-    banner("Telemetry-plane overhead -- quickstart on vs off");
+    banner("Span-tracing overhead -- quickstart traced vs untraced");
     // Destructs last so the gauges below land in the report.
     ReportGuard report("quickstart");
 
@@ -106,28 +95,25 @@ run()
     constexpr int kReps = 3;
     const double baseline_ms = bestOf(kReps);
 
-    // Full telemetry plane: span trace to a file + live endpoint on
-    // an ephemeral port (live open-scope tracking included).
+    // Span trace to a file.
     const char *trace_path = "/tmp/psca_bench_quickstart_trace.json";
     obs::TraceLog::instance().enable(trace_path);
-    obs::HttpServer::instance().start(0);
-    const double telemetry_ms = bestOf(kReps);
-    obs::HttpServer::instance().stop();
+    const double traced_ms = bestOf(kReps);
     obs::TraceLog::instance().finalize();
     std::remove(trace_path);
 
     const double overhead_pct = baseline_ms > 0.0
-        ? (telemetry_ms - baseline_ms) / baseline_ms * 100.0
+        ? (traced_ms - baseline_ms) / baseline_ms * 100.0
         : 0.0;
 
     auto &reg = obs::StatRegistry::instance();
     reg.gauge("trace.quickstart_baseline_ms").set(baseline_ms);
-    reg.gauge("trace.quickstart_telemetry_ms").set(telemetry_ms);
+    reg.gauge("trace.quickstart_telemetry_ms").set(traced_ms);
     reg.gauge("trace.overhead_pct").set(overhead_pct);
 
-    std::printf("quickstart: %.1f ms telemetry off, %.1f ms with "
-                "tracing + endpoint (%+.2f%% overhead; bar: <= 2%%)\n",
-                baseline_ms, telemetry_ms, overhead_pct);
+    std::printf("quickstart: %.1f ms untraced, %.1f ms traced "
+                "(%+.2f%% overhead; bar: <= 2%%)\n",
+                baseline_ms, traced_ms, overhead_pct);
     return 0;
 }
 

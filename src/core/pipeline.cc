@@ -237,6 +237,20 @@ forestFactory(int trees, int depth)
     };
 }
 
+ModelFactory
+mlpFactory(std::vector<int> hidden, int epochs)
+{
+    return [hidden = std::move(hidden),
+            epochs](const Dataset &tune,
+                    uint64_t s) -> std::unique_ptr<Model> {
+        MlpConfig mc;
+        mc.hiddenLayers = hidden;
+        mc.epochs = epochs;
+        mc.seed = s;
+        return trainMlp(tune, mc);
+    };
+}
+
 NamedPredictor
 makeBestRf(const ExperimentContext &ctx, double p_sla, uint64_t seed)
 {
@@ -263,17 +277,9 @@ makeBestMlp(const ExperimentContext &ctx, double p_sla, uint64_t seed)
     opts.rsvWindow = rsvWindowFor(ctx, opts.granularityInstr);
     opts.seed = seed;
 
-    const int epochs = ctx.scale.mlpEpochs;
-    TrainedDual dual = trainDual(
-        ctx.hdtr, ctx.build, opts,
-        [epochs](const Dataset &tune,
-                 uint64_t s) -> std::unique_ptr<Model> {
-            MlpConfig mc;
-            mc.hiddenLayers = {8, 8, 4};
-            mc.epochs = epochs;
-            mc.seed = s;
-            return trainMlp(tune, mc);
-        });
+    TrainedDual dual =
+        trainDual(ctx.hdtr, ctx.build, opts,
+                  mlpFactory({8, 8, 4}, ctx.scale.mlpEpochs));
     return wrapDual("Best MLP", std::move(dual), opts.columns,
                     opts.granularityInstr);
 }
@@ -291,17 +297,9 @@ makeCharstar(const ExperimentContext &ctx, double p_sla, uint64_t seed)
     // calibration beyond the default threshold.
     opts.calibrate = false;
 
-    const int epochs = ctx.scale.mlpEpochs;
-    TrainedDual dual = trainDual(
-        ctx.hdtr, ctx.build, opts,
-        [epochs](const Dataset &tune,
-                 uint64_t s) -> std::unique_ptr<Model> {
-            MlpConfig mc;
-            mc.hiddenLayers = {10};
-            mc.epochs = epochs;
-            mc.seed = s;
-            return trainMlp(tune, mc);
-        });
+    TrainedDual dual =
+        trainDual(ctx.hdtr, ctx.build, opts,
+                  mlpFactory({10}, ctx.scale.mlpEpochs));
     return wrapDual("CHARSTAR MLP", std::move(dual), opts.columns,
                     opts.granularityInstr);
 }

@@ -109,6 +109,12 @@ TrainedDual trainDual(const std::vector<TraceRecord> &records,
  */
 ModelFactory forestFactory(int trees, int depth);
 
+/**
+ * The standard MLP ModelFactory (@p hidden layer widths, @p epochs
+ * training epochs) shared by Best MLP and CHARSTAR.
+ */
+ModelFactory mlpFactory(std::vector<int> hidden, int epochs);
+
 /** Named predictor bundle for the evaluation benches. */
 struct NamedPredictor
 {

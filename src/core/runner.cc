@@ -16,7 +16,6 @@
 #include "common/journal.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
-#include "obs/http.hh"
 #include "obs/trace.hh"
 
 namespace psca {
@@ -182,18 +181,14 @@ guardedMain(const std::function<int()> &body)
     const double unit_timeout_s =
         env::doubleOr("PSCA_UNIT_TIMEOUT_S", 0.0, 0.0, 1e9);
 
-    // Arm the telemetry plane before the body spawns threads: the
-    // trace log parses PSCA_TRACE on first touch, and the live
-    // endpoint starts if PSCA_HTTP_PORT is set.
+    // Arm the span trace before the body spawns threads: the trace
+    // log parses PSCA_TRACE on first touch.
     obs::TraceLog::instance();
-    obs::HttpServer::maybeStartFromEnv();
     // Resolve PSCA_FAULTS and PSCA_SIMD here, on the main thread, so
     // a bad value is fatal before any work starts rather than inside
     // a pool task.
     FaultRegistry::instance();
     simd::activeLevel();
-    const double linger_s =
-        env::doubleOr("PSCA_HTTP_LINGER_S", 0.0, 0.0, 86400.0);
 
     int status = 0;
     {
@@ -223,23 +218,7 @@ guardedMain(const std::function<int()> &body)
         watchdog.stop();
     }
 
-    // Orderly telemetry shutdown: optionally hold the live endpoint
-    // open so a scraper can take a final reading, then stop it and
-    // flush the span trace (also covered by atexit for bare mains).
-    obs::HttpServer &http = obs::HttpServer::instance();
-    if (http.running() && linger_s > 0 && !stopRequested()) {
-        inform("http: lingering ", linger_s,
-               " s for final scrapes (PSCA_HTTP_LINGER_S)");
-        const auto linger_until = std::chrono::steady_clock::now() +
-            std::chrono::duration<double>(linger_s);
-        while (std::chrono::steady_clock::now() < linger_until &&
-               !stopRequested())
-        {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-        }
-    }
-    http.stop();
+    // Flush the span trace (also covered by atexit for bare mains).
     obs::TraceLog::instance().finalize();
 
     sigaction(SIGINT, &old_int, nullptr);

@@ -127,8 +127,7 @@ EventLog::clear()
 }
 
 void
-EventLog::writeJson(std::ostream &os, const std::string &indent,
-                    uint64_t since) const
+EventLog::writeJson(std::ostream &os, const std::string &indent) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     os << "{\n";
@@ -137,8 +136,6 @@ EventLog::writeJson(std::ostream &os, const std::string &indent,
     os << indent << "  \"log\": [";
     bool first = true;
     for (const auto &e : ring_) {
-        if (e.seq < since)
-            continue;
         os << (first ? "\n" : ",\n") << indent << "    {\"seq\": "
            << e.seq << ", \"t_ms\": ";
         jsonNumber(os, static_cast<double>(e.tNs) / 1e6);

@@ -9,10 +9,9 @@
  * runs producing the same event sequence retain the same tail.
  *
  * The log is serialized into run reports (only when non-empty, so
- * event-free reports keep their prior byte layout) and served live by
- * the /events HTTP endpoint. Common-layer code reaches it through
- * emitEvent() in common/logging.hh; the sink is registered at
- * static-init time by this translation unit.
+ * event-free reports keep their prior byte layout). Common-layer code
+ * reaches it through emitEvent() in common/logging.hh; the sink is
+ * registered at static-init time by this translation unit.
  */
 
 #ifndef PSCA_OBS_EVENTS_HH
@@ -73,12 +72,8 @@ class EventLog
     /**
      * The {"logged", "dropped", "log": [...]} JSON object at report
      * indentation (object lines indented by @p indent + 2 spaces).
-     * @p since drops events with seq < since — the /events?since=N
-     * incremental-polling path; 0 (the default) writes every retained
-     * event, so existing callers keep their exact byte layout.
      */
-    void writeJson(std::ostream &os, const std::string &indent,
-                   uint64_t since = 0) const;
+    void writeJson(std::ostream &os, const std::string &indent) const;
 
     /**
      * The report's optional `"events": {...},` section: nothing is

@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared JSON emission helpers for the obs layer. Every producer of
- * report-shaped output (stat registry, snapshots, event log, HTTP
- * endpoint, trace exporter) uses these, so escaping and number
- * formatting stay byte-identical across all of them.
+ * report-shaped output (stat registry, event log, trace exporter)
+ * uses these, so escaping and number formatting stay byte-identical
+ * across all of them.
  */
 
 #ifndef PSCA_OBS_JSON_HH

@@ -180,8 +180,6 @@ PhaseTracer::push(const std::string &name)
     PhaseNode *node = childFor(parent, name);
     node->calls.fetch_add(1, std::memory_order_relaxed);
     tls_stack.push_back(node);
-    if (liveScopes_.load(std::memory_order_relaxed))
-        openScopePush(node);
     return node;
 }
 
@@ -192,7 +190,6 @@ PhaseTracer::pop(uint64_t elapsed_ns)
         return; // unbalanced pop; keep the root usable
     PhaseNode *node = tls_stack.back();
     node->wallNs.fetch_add(elapsed_ns, std::memory_order_relaxed);
-    openScopePop(node);
     tls_stack.pop_back();
 }
 
@@ -215,15 +212,6 @@ PhaseTracer::endTask()
 void
 PhaseTracer::reset()
 {
-    // Clear the live-view slots FIRST: their entries point at nodes
-    // the tree clear below destroys.
-    {
-        std::lock_guard<std::mutex> lock(slotsMu_);
-        for (auto &slot : slots_) {
-            std::lock_guard<std::mutex> slock(slot->mu);
-            slot->open.clear();
-        }
-    }
     {
         std::lock_guard<std::mutex> lock(treeMu_);
         root_.children.clear();
@@ -238,60 +226,6 @@ PhaseTracer::reset()
     // Open ScopedPhases on this thread hold pointers into the cleared
     // tree; rewind the stack so later pushes re-root cleanly.
     tls_stack.clear();
-}
-
-void
-PhaseTracer::setLiveScopes(bool on)
-{
-    liveScopes_.store(on, std::memory_order_relaxed);
-}
-
-namespace {
-
-/** This thread's live-view slot (created on first gated push). */
-thread_local std::shared_ptr<PhaseTracer::OpenSlot> tls_slot;
-
-} // namespace
-
-void
-PhaseTracer::openScopePush(const PhaseNode *node)
-{
-    if (!tls_slot) {
-        tls_slot = std::make_shared<OpenSlot>();
-        tls_slot->tid = threadTag();
-        std::lock_guard<std::mutex> lock(slotsMu_);
-        slots_.push_back(tls_slot);
-    }
-    std::lock_guard<std::mutex> lock(tls_slot->mu);
-    tls_slot->open.emplace_back(node, steadyNowNs());
-}
-
-void
-PhaseTracer::openScopePop(const PhaseNode *node)
-{
-    // Tracking may have been toggled mid-scope: pop only a matching
-    // top entry so the live stack never misattributes.
-    if (!tls_slot)
-        return;
-    std::lock_guard<std::mutex> lock(tls_slot->mu);
-    if (!tls_slot->open.empty() &&
-        tls_slot->open.back().first == node)
-        tls_slot->open.pop_back();
-}
-
-void
-PhaseTracer::forEachOpenScope(
-    const std::function<void(int tid, const std::string &name,
-                             uint64_t open_ns)> &fn) const
-{
-    const uint64_t now = steadyNowNs();
-    std::lock_guard<std::mutex> lock(slotsMu_);
-    for (const auto &slot : slots_) {
-        std::lock_guard<std::mutex> slock(slot->mu);
-        for (const auto &[node, start] : slot->open)
-            fn(slot->tid, node->name,
-               now > start ? now - start : 0);
-    }
 }
 
 ScopedPhase::ScopedPhase(const std::string &name)

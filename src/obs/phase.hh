@@ -19,11 +19,6 @@
  * stack is rooted there for the task's duration (beginTask/endTask,
  * wired via ThreadPool context hooks), so worker-side scopes nest
  * under the phase that spawned them.
- *
- * Live view: when open-scope tracking is on (enabled by the HTTP
- * endpoint), each thread additionally keeps its currently open scopes
- * with start times in a registered slot, so /phases can show what is
- * running right now and for how long.
  */
 
 #ifndef PSCA_OBS_PHASE_HH
@@ -32,7 +27,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,7 +51,7 @@ struct PhaseNode
     PhaseNode *findOrAddChild(const std::string &child_name);
 };
 
-/** The process-wide phase tree and per-thread open-scope stacks. */
+/** The process-wide phase tree and per-thread scope stacks. */
 class PhaseTracer
 {
   public:
@@ -101,40 +95,14 @@ class PhaseTracer
      */
     void reset();
 
-    /**
-     * Turn per-thread open-scope tracking on/off (off by default: the
-     * live view costs an extra mutexed push/pop per scope and is only
-     * needed while something can ask "what is running right now").
-     */
-    void setLiveScopes(bool on);
-
-    /** Visit every currently open scope with its elapsed time. */
-    void forEachOpenScope(
-        const std::function<void(int tid, const std::string &name,
-                                 uint64_t open_ns)> &fn) const;
-
-    /** One thread's open scopes with start times (live view only). */
-    struct OpenSlot
-    {
-        std::mutex mu;
-        int tid = 0;
-        std::vector<std::pair<const PhaseNode *, uint64_t>> open;
-    };
-
   private:
     PhaseTracer();
 
     PhaseNode *childFor(PhaseNode *parent, const std::string &name);
-    void openScopePush(const PhaseNode *node);
-    void openScopePop(const PhaseNode *node);
 
     mutable std::mutex treeMu_; //!< guards the tree STRUCTURE
     PhaseNode root_;
     std::atomic<uint64_t> epoch_{0}; //!< bumped by reset()
-    std::atomic<bool> liveScopes_{false};
-
-    mutable std::mutex slotsMu_; //!< guards the slot registry
-    std::vector<std::shared_ptr<OpenSlot>> slots_;
 };
 
 /**

@@ -9,7 +9,6 @@
 #include "obs/events.hh"
 #include "obs/json.hh"
 #include "obs/phase.hh"
-#include "obs/snapshot.hh"
 
 namespace psca {
 namespace obs {
@@ -221,36 +220,57 @@ StatRegistry::reset()
         h->reset();
 }
 
-void
-StatRegistry::forEachCounter(
-    const std::function<void(const std::string &, uint64_t)> &fn)
-    const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[name, c] : counters_)
-        fn(name, c->value());
-}
-
-void
-StatRegistry::forEachGauge(
-    const std::function<void(const std::string &, double)> &fn) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[name, g] : gauges_)
-        fn(name, g->value());
-}
-
-void
-StatRegistry::forEachHistogram(
-    const std::function<void(const std::string &, const Histogram &)>
-        &fn) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[name, h] : histograms_)
-        fn(name, *h);
-}
-
 namespace {
+
+void
+writeHistogramJson(std::ostream &os, const HistogramSnapshot &h,
+                   const std::string &indent)
+{
+    os << "{\n";
+    os << indent << "  \"count\": " << h.count << ",\n";
+    os << indent << "  \"min\": " << (h.count ? h.min : 0) << ",\n";
+    os << indent << "  \"max\": " << h.max << ",\n";
+    os << indent << "  \"mean\": ";
+    jsonNumber(os, h.mean());
+    os << ",\n" << indent << "  \"stddev\": ";
+    jsonNumber(os, h.stddev());
+    os << ",\n";
+    os << indent << "  \"p50\": " << h.percentile(50.0) << ",\n";
+    os << indent << "  \"p95\": " << h.percentile(95.0) << ",\n";
+    os << indent << "  \"p99\": " << h.percentile(99.0) << ",\n";
+    os << indent << "  \"buckets\": [";
+    bool first = true;
+    for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+        if (h.buckets[i] == 0)
+            continue;
+        if (!first)
+            os << ", ";
+        first = false;
+        os << "[" << Histogram::bucketLowerBound(i) << ", "
+           << h.buckets[i] << "]";
+    }
+    os << "]\n" << indent << "}";
+}
+
+/**
+ * One report section ("  \"<title>\": {...},\n"): sorted names, two-
+ * space indent, an empty section written as "{}".
+ */
+template <typename Map, typename WriteValue>
+void
+writeSection(std::ostream &os, const char *title, const Map &stats,
+             WriteValue write_value)
+{
+    os << "  \"" << title << "\": {";
+    bool first = true;
+    for (const auto &[name, stat] : stats) {
+        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
+           << "\": ";
+        write_value(*stat);
+        first = false;
+    }
+    os << (first ? "" : "\n  ") << "},\n";
+}
 
 void
 writePhaseJson(std::ostream &os, const PhaseNode &node,
@@ -277,6 +297,24 @@ writePhaseJson(std::ostream &os, const PhaseNode &node,
     os << indent << "]}";
 }
 
+/** The report's "phases" array, under the tracer's tree lock. */
+void
+writePhaseTreeJson(std::ostream &os)
+{
+    os << "[\n";
+    // Freeze the phase tree for the whole traversal: a straggler
+    // scope closing on another thread must not mutate nodes mid-dump.
+    const auto tree_lock = PhaseTracer::instance().lockTree();
+    const PhaseNode &root = PhaseTracer::instance().root();
+    for (size_t i = 0; i < root.children.size(); ++i) {
+        writePhaseJson(os, *root.children[i], "    ");
+        if (i + 1 < root.children.size())
+            os << ",";
+        os << "\n";
+    }
+    os << "  ]";
+}
+
 void
 writePhaseText(std::ostream &os, const PhaseNode &node, int depth)
 {
@@ -301,14 +339,22 @@ void
 StatRegistry::writeJson(std::ostream &os,
                         const std::string &report_name) const
 {
-    // capture() takes the registry lock internally, so the sections
-    // are one consistent reading of every stat.
-    StatSnapshot snap;
-    snap.capture(*this);
     os << "{\n";
     os << "  \"report\": \"" << jsonEscape(report_name) << "\",\n";
     os << "  \"schema\": 1,\n";
-    snap.writeSections(os);
+    {
+        // One registry lock for all three sections, so they are one
+        // consistent reading of every stat.
+        std::lock_guard<std::mutex> lock(mu_);
+        writeSection(os, "counters", counters_,
+                     [&os](const Counter &c) { os << c.value(); });
+        writeSection(os, "gauges", gauges_,
+                     [&os](const Gauge &g) { jsonNumber(os, g.value()); });
+        writeSection(os, "histograms", histograms_,
+                     [&os](const Histogram &h) {
+                         writeHistogramJson(os, h.snapshot(), "    ");
+                     });
+    }
 
     // Structured events ride along only when something was logged, so
     // an event-free run's report keeps the pre-§12 byte layout.
@@ -317,23 +363,6 @@ StatRegistry::writeJson(std::ostream &os,
     os << "  \"phases\": ";
     writePhaseTreeJson(os);
     os << "\n}\n";
-}
-
-void
-writePhaseTreeJson(std::ostream &os)
-{
-    os << "[\n";
-    // Freeze the phase tree for the whole traversal: a straggler
-    // scope closing on another thread must not mutate nodes mid-dump.
-    const auto tree_lock = PhaseTracer::instance().lockTree();
-    const PhaseNode &root = PhaseTracer::instance().root();
-    for (size_t i = 0; i < root.children.size(); ++i) {
-        writePhaseJson(os, *root.children[i], "    ");
-        if (i + 1 < root.children.size())
-            os << ",";
-        os << "\n";
-    }
-    os << "  ]";
 }
 
 bool

@@ -36,7 +36,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -306,21 +305,6 @@ class StatRegistry
     void reset();
 
     /**
-     * Visit every stat (sorted by name, under the registry lock; the
-     * callbacks must not touch the registry). Values are read at
-     * visit time — quiesce writers first for an exact snapshot.
-     */
-    void forEachCounter(
-        const std::function<void(const std::string &, uint64_t)> &fn)
-        const;
-    void forEachGauge(
-        const std::function<void(const std::string &, double)> &fn)
-        const;
-    void forEachHistogram(
-        const std::function<void(const std::string &,
-                                 const Histogram &)> &fn) const;
-
-    /**
      * Write the full run report (counters, gauges, histogram
      * summaries, and the phase tree) as one JSON object.
      */
@@ -344,13 +328,6 @@ class StatRegistry
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/**
- * The report's "phases" array ("[\n    {...}\n  ]", report
- * indentation), shared by StatRegistry::writeJson and the /phases
- * endpoint. Takes the tracer's tree lock for the traversal.
- */
-void writePhaseTreeJson(std::ostream &os);
 
 } // namespace obs
 } // namespace psca

@@ -35,7 +35,7 @@ namespace obs {
 
 class Counter;
 
-/** Steady-clock origin shared by spans, events, and live views. */
+/** Steady-clock origin shared by spans and events. */
 uint64_t processBaseNs();
 
 /** Small dense id for the calling thread (0, 1, 2, ... by arrival). */

@@ -11,28 +11,12 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/firmware_image.hh"
-#include "obs/http.hh"
 #include "obs/stats.hh"
 
 namespace psca {
 namespace serve {
 
 namespace {
-
-/**
- * The /health provider hook is a plain function pointer (obs cannot
- * link against serve), so the live Service instance parks itself here.
- * One service per process — the second constructor wins the pointer,
- * matching the registry/event-sink singletons' latest-wins convention.
- */
-Service *g_service = nullptr;
-
-std::string
-healthTrampoline()
-{
-    Service *s = g_service;
-    return s ? s->healthJson() : std::string("{\n  \"state\": \"idle\"\n}\n");
-}
 
 std::string
 fmt3(double v)
@@ -130,18 +114,9 @@ Service::Service(ServeConfig cfg, BuildConfig build,
                     cfg_.granularityInstr % build_.intervalInstr == 0,
                 "serve: granularity must be a multiple of the "
                 "telemetry interval");
-    g_service = this;
-    obs::setHealthProvider(&healthTrampoline);
-    updateHealthView();
 }
 
-Service::~Service()
-{
-    if (g_service == this) {
-        obs::setHealthProvider(nullptr);
-        g_service = nullptr;
-    }
-}
+Service::~Service() = default;
 
 void
 Service::lifecycleLine(const std::string &line, bool warnLevel)
@@ -171,7 +146,6 @@ Service::transition(ServeState to, const std::string &reason)
         obs::StatRegistry::instance().gauge("serve.state").set(
             static_cast<double>(static_cast<uint8_t>(to)));
     }
-    updateHealthView();
 }
 
 FirmwarePackage
@@ -210,7 +184,6 @@ Service::loadActivePredictor()
         obs::StatRegistry::instance()
             .gauge("serve.active_version")
             .set(static_cast<double>(ring_.activeVersion()));
-    updateHealthView();
 }
 
 bool
@@ -359,7 +332,6 @@ Service::stepBlock()
     drift_.observe(agg, mode, trips_delta);
     if (drift_.windowComplete()) {
         const DriftVerdict v = drift_.takeWindow();
-        lastMaxZ_ = v.maxAbsMeanZ;
         if (cfg_.lifecycle) {
             obs::StatRegistry::instance()
                 .counter("serve.drift_windows")
@@ -487,7 +459,6 @@ Service::evaluateShadowGate()
     ++outcome_.promotions;
     if (cfg_.lifecycle)
         obs::StatRegistry::instance().counter("serve.promotions").add();
-    lastPromoteBlock_ = outcome_.blocks;
     loadActivePredictor();
     probationBlocks_ = 0;
     probationTrips_ = 0;
@@ -526,8 +497,6 @@ Service::evaluateProbation()
         obs::StatRegistry::instance().counter("serve.rollbacks").add();
     PSCA_ASSERT(ring_.rollbackTo(promotedFrom_),
                 "serve: rollback target lost from the ring");
-    lastRollbackBlock_ = outcome_.blocks;
-    lastRollbackVersion_ = promotedFrom_;
     loadActivePredictor();
     cooldown_ = cfg_.cooldownBlocks;
     transition(ServeState::RolledBack,
@@ -571,7 +540,6 @@ Service::finishRun()
     for (const std::string &line : outcome_.lifecycle)
         out << line << '\n';
     out.close();
-    updateHealthView();
 }
 
 const ServeOutcome &
@@ -613,42 +581,6 @@ Service::run(uint64_t max_blocks)
 
     finishRun();
     return outcome_;
-}
-
-std::string
-Service::healthJson() const
-{
-    std::lock_guard<std::mutex> lock(healthMu_);
-    return healthJson_;
-}
-
-void
-Service::updateHealthView()
-{
-    std::string j = "{\n";
-    j += "  \"state\": \"" + std::string(serveStateName(state_)) +
-        "\",\n";
-    j += "  \"active_version\": " +
-        std::to_string(ring_.activeVersion()) + ",\n";
-    j += "  \"shadow_active\": " +
-        std::string(shadowPkg_ ? "true" : "false") + ",\n";
-    j += "  \"blocks\": " + std::to_string(outcome_.blocks) + ",\n";
-    j += "  \"drifts_detected\": " +
-        std::to_string(outcome_.driftsDetected) + ",\n";
-    j += "  \"promotions\": " + std::to_string(outcome_.promotions) +
-        ",\n";
-    j += "  \"rollbacks\": " + std::to_string(outcome_.rollbacks) +
-        ",\n";
-    j += "  \"last_promote_block\": " +
-        std::to_string(lastPromoteBlock_) + ",\n";
-    j += "  \"last_rollback_block\": " +
-        std::to_string(lastRollbackBlock_) + ",\n";
-    j += "  \"last_rollback_to\": " +
-        std::to_string(lastRollbackVersion_) + ",\n";
-    j += "  \"drift_max_abs_mean_z\": " + fmt3(lastMaxZ_) + "\n";
-    j += "}\n";
-    std::lock_guard<std::mutex> lock(healthMu_);
-    healthJson_ = std::move(j);
 }
 
 } // namespace serve

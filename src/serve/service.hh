@@ -1,6 +1,6 @@
 /**
  * @file
- * The online adaptation service (DESIGN.md §14, ROADMAP item 4): runs
+ * The online adaptation service (DESIGN.md §14): runs
  * the closed sim+controller loop indefinitely over a workload
  * schedule while managing the model lifecycle through an explicit
  * health state machine,
@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -121,9 +120,8 @@ class Service
   public:
     /**
      * Bring the service up: open (or bootstrap) the firmware ring
-     * under cfg.dir, load + verify the active image, and register
-     * the /health provider. @p build must carry the counter ids the
-     * packages were trained with.
+     * under cfg.dir and load + verify the active image. @p build must
+     * carry the counter ids the packages were trained with.
      */
     Service(ServeConfig cfg, BuildConfig build,
             std::vector<ServeSegment> schedule);
@@ -144,9 +142,6 @@ class Service
     const FirmwareRing &ring() const { return ring_; }
     const ServeOutcome &outcome() const { return outcome_; }
 
-    /** The /health JSON body (thread-safe; HTTP thread calls it). */
-    std::string healthJson() const;
-
   private:
     struct SegmentRt; //!< per-segment runtime (replayer, labels, ref)
 
@@ -161,7 +156,6 @@ class Service
     void evaluateShadowGate();
     void evaluateProbation();
     void finishRun();
-    void updateHealthView();
 
     ServeConfig cfg_;
     BuildConfig build_;
@@ -208,14 +202,6 @@ class Service
 
     PpwAccumulator adaptive_;
     PpwAccumulator referenceHigh_;
-
-    uint64_t lastPromoteBlock_ = 0;
-    uint64_t lastRollbackBlock_ = 0;
-    uint32_t lastRollbackVersion_ = 0;
-    double lastMaxZ_ = 0.0;
-
-    mutable std::mutex healthMu_;
-    std::string healthJson_;
 };
 
 } // namespace serve

@@ -7,8 +7,8 @@
  * cycle HEALTHY -> DRIFTING -> RETRAINING -> SHADOWING -> PROMOTING
  * -> HEALTHY on a planted distribution shift, same-seed determinism
  * of the lifecycle transition sequence, fail-safe behaviour under
- * every serve.* fault site, and the /health + /events?since HTTP
- * surface.
+ * every serve.* fault site, and the run report carrying the service's
+ * state, active firmware version and lifecycle events.
  *
  * Fork discipline (same as test_runner.cc): children _exit() and the
  * parent never touches the ThreadPool/SimMemo/Journal singletons from
@@ -17,9 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -28,13 +25,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/fault.hh"
 #include "common/journal.hh"
 #include "common/serialize.hh"
-#include "obs/http.hh"
+#include "obs/events.hh"
+#include "obs/stats.hh"
 #include "serve/drift.hh"
 #include "serve/ring.hh"
 #include "serve/service.hh"
@@ -208,34 +207,6 @@ class ServeFixture : public ::testing::Test
 using RingTest = ServeFixture;
 using DriftTest = ServeFixture;
 using ServiceTest = ServeFixture;
-
-/** One blocking HTTP GET against 127.0.0.1:port. */
-std::string
-httpGet(int port, const std::string &path)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return "";
-    sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0)
-    {
-        ::close(fd);
-        return "";
-    }
-    const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
-    ::send(fd, req.data(), req.size(), 0);
-    std::string resp;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        resp.append(buf, static_cast<size_t>(n));
-    ::close(fd);
-    return resp;
-}
 
 } // namespace
 
@@ -619,38 +590,38 @@ TEST_F(ServiceTest, ProbationRegressionRollsBackByteIdentical)
               reopened.imageChecksum(reopened.activeVersion()));
 }
 
-TEST_F(ServiceTest, HealthAndIncrementalEventsOverHttp)
+TEST_F(ServiceTest, RunReportCarriesStateVersionAndEvents)
 {
-    const std::string dir = freshDir("svc_http");
-    obs::HttpServer &server = obs::HttpServer::instance();
-    ASSERT_TRUE(server.start(0));
-    const int port = server.port();
-
-    // No service yet: /health reports idle.
-    EXPECT_NE(httpGet(port, "/health").find("\"state\": \"idle\""),
-              std::string::npos);
+    const std::string dir = freshDir("svc_report");
+    auto &reg = obs::StatRegistry::instance();
+    reg.reset();
+    obs::EventLog::instance().clear();
 
     Service service(testServeConfig(dir), testBuildConfig(),
                     shiftSchedule());
     service.run(/*max_blocks=*/4);
 
-    const std::string health = httpGet(port, "/health");
-    EXPECT_NE(health.find("200 OK"), std::string::npos);
-    EXPECT_NE(health.find("\"state\": \"HEALTHY\""),
-              std::string::npos);
-    EXPECT_NE(health.find("\"active_version\": 1"),
-              std::string::npos);
+    // State and firmware version come from the serve.* gauges. The
+    // state gauge is written on transitions; four blocks make none,
+    // so it reads HEALTHY (0) whether or not it is registered yet.
+    EXPECT_EQ(service.state(), ServeState::Healthy);
+    const obs::Gauge *state = reg.findGauge("serve.state");
+    EXPECT_EQ(state ? state->value() : 0.0, 0.0);
+    const obs::Gauge *version = reg.findGauge("serve.active_version");
+    ASSERT_NE(version, nullptr);
+    EXPECT_EQ(version->value(), 1.0);
 
-    // Incremental event polling: ?since past the tail returns an
-    // empty list, a full fetch does not.
-    const std::string all = httpGet(port, "/events");
-    EXPECT_NE(all.find("\"serve\""), std::string::npos);
-    const std::string none =
-        httpGet(port, "/events?since=999999999");
-    EXPECT_EQ(none.find("\"serve\""), std::string::npos);
-    EXPECT_NE(none.find("200 OK"), std::string::npos);
-
-    server.stop();
+    // The report carries the same gauges and the lifecycle lines as
+    // "serve" events.
+    std::ostringstream report;
+    reg.writeJson(report, "serve_test");
+    const std::string json = report.str();
+    EXPECT_NE(json.find("\"serve.active_version\": 1"),
+              std::string::npos);
+    const size_t events = json.find("\"events\": {");
+    ASSERT_NE(events, std::string::npos);
+    EXPECT_NE(json.find("\"category\": \"serve\"", events),
+              std::string::npos);
 }
 
 TEST_F(ServiceTest, DisabledLifecycleServesBootstrapForever)

@@ -34,7 +34,6 @@ DEFAULT_IGNORE = [
     "uc.",       # firmware VM op/inference counts
     "trace.",    # span-trace event/drop accounting (telemetry plane)
     "events.",   # structured event-log accounting
-    "http.",     # live-endpoint request counts
     "serve.",    # adaptation-service lifecycle accounting
     "drift.",    # drift-detector window statistics
 ]

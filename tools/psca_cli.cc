@@ -25,6 +25,11 @@
  * <app> is either `spec:<name-substring>` (a SPEC2017 stand-in) or
  * `<category>:<seed>` with category in {hpc, cloud, ai, web, media,
  * games}.
+ *
+ * Arguments parse strictly: an unknown flag, a flag without its value,
+ * or a value that is not a whole number in range (`--len 24O000`,
+ * `--mode lwo`, `hpc:2x`) exits with status 2 and one line on stderr
+ * naming the flag or app.
  */
 
 #include <chrono>
@@ -86,6 +91,54 @@ usage()
     return 2;
 }
 
+/**
+ * Reject a flag: one line naming it, then the usage exit status.
+ * @p value is nullptr when the flag was the last argument.
+ */
+int
+badFlag(const char *flag, const char *value, const char *expected)
+{
+    if (value)
+        std::fprintf(stderr, "psca: %s '%s': expected %s\n", flag,
+                     value, expected);
+    else
+        std::fprintf(stderr, "psca: %s needs a value (%s)\n", flag,
+                     expected);
+    return 2;
+}
+
+int
+unknownFlag(const char *flag)
+{
+    std::fprintf(stderr, "psca: unknown flag '%s'\n", flag);
+    return 2;
+}
+
+int
+badApp(const char *spec)
+{
+    std::fprintf(stderr,
+                 "psca: unknown app '%s': expected spec:<name> or "
+                 "<category>:<seed>\n",
+                 spec);
+    return 2;
+}
+
+/** Strict full-string parse of an integer >= @p lo ("24O000" fails). */
+bool
+parseUint(const char *s, uint64_t lo, uint64_t &out)
+{
+    long long v = 0;
+    if (!env::tryParseLong(s, v) || v < 0 ||
+        static_cast<uint64_t>(v) < lo)
+        return false;
+    out = static_cast<uint64_t>(v);
+    return true;
+}
+
+constexpr const char *kPositive = "an integer > 0";
+constexpr const char *kNonNegative = "an integer >= 0";
+
 /** Resolve an <app> spec string into a workload. */
 bool
 resolveApp(const std::string &spec, uint64_t len, Workload &out)
@@ -114,11 +167,13 @@ resolveApp(const std::string &spec, uint64_t len, Workload &out)
             {"media", AppCategory::Multimedia},
             {"games", AppCategory::GamesRendering},
         };
+        uint64_t seed = 0;
+        if (!parseUint(arg.c_str(), 0, seed))
+            return false;
         bool found = false;
         for (const auto &[name, cat] : cats) {
             if (kind == name) {
-                out.genome = sampleGenome(
-                    cat, std::strtoull(arg.c_str(), nullptr, 10));
+                out.genome = sampleGenome(cat, seed);
                 found = true;
                 break;
             }
@@ -132,19 +187,12 @@ resolveApp(const std::string &spec, uint64_t len, Workload &out)
     return true;
 }
 
-uint64_t
-optLen(int argc, char **argv, uint64_t fallback)
-{
-    for (int i = 0; i + 1 < argc; ++i)
-        if (!std::strcmp(argv[i], "--len"))
-            return std::strtoull(argv[i + 1], nullptr, 10);
-    return fallback;
-}
-
 int
 cmdCounters(int argc, char **argv)
 {
     const bool all = argc > 0 && !std::strcmp(argv[0], "--all");
+    if (argc > (all ? 1 : 0))
+        return unknownFlag(argv[all ? 1 : 0]);
     const auto &reg = CounterRegistry::instance();
     const size_t limit = all ? reg.numCounters() : kNumScalarCtrs;
     for (size_t i = 0; i < limit; ++i)
@@ -177,16 +225,28 @@ cmdRun(int argc, char **argv)
 {
     if (argc < 1)
         return usage();
-    Workload w;
-    if (!resolveApp(argv[0], optLen(argc, argv, 300000), w)) {
-        std::fprintf(stderr, "unknown app '%s'\n", argv[0]);
-        return 2;
-    }
+    uint64_t len = 300000;
     CoreMode mode = CoreMode::HighPerf;
-    for (int i = 0; i + 1 < argc; ++i)
-        if (!std::strcmp(argv[i], "--mode") &&
-            !std::strcmp(argv[i + 1], "low"))
-            mode = CoreMode::LowPower;
+    for (int i = 1; i < argc; i += 2) {
+        const char *flag = argv[i];
+        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
+        if (!std::strcmp(flag, "--len")) {
+            if (!parseUint(value, 1, len))
+                return badFlag(flag, value, kPositive);
+        } else if (!std::strcmp(flag, "--mode")) {
+            if (value && !std::strcmp(value, "high"))
+                mode = CoreMode::HighPerf;
+            else if (value && !std::strcmp(value, "low"))
+                mode = CoreMode::LowPower;
+            else
+                return badFlag(flag, value, "high or low");
+        } else {
+            return unknownFlag(flag);
+        }
+    }
+    Workload w;
+    if (!resolveApp(argv[0], len, w))
+        return badApp(argv[0]);
 
     BuildConfig cfg;
     cfg.counterIds = defaultCounterIds();
@@ -249,9 +309,13 @@ cmdTrain(int argc, char **argv)
     std::vector<std::string> apps;
     std::string out_path;
     for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
+        if (!std::strcmp(argv[i], "--out")) {
+            if (i + 1 == argc)
+                return badFlag("--out", nullptr, "a file path");
             out_path = argv[++i];
-        } else if (argv[i][0] != '-') {
+        } else if (argv[i][0] == '-') {
+            return unknownFlag(argv[i]);
+        } else {
             apps.emplace_back(argv[i]);
         }
     }
@@ -263,11 +327,8 @@ cmdTrain(int argc, char **argv)
     std::vector<TraceRecord> records;
     for (size_t i = 0; i < apps.size(); ++i) {
         Workload w;
-        if (!resolveApp(apps[i], 400000, w)) {
-            std::fprintf(stderr, "unknown app '%s'\n",
-                         apps[i].c_str());
-            return 2;
-        }
+        if (!resolveApp(apps[i], 400000, w))
+            return badApp(apps[i].c_str());
         std::printf("recording %s...\n", w.name.c_str());
         records.push_back(
             recordTrace(w, cfg, static_cast<uint32_t>(i), 0));
@@ -277,15 +338,7 @@ cmdTrain(int argc, char **argv)
     opts.granularityInstr = 40000;
     opts.columns = kAllColumns;
     opts.rsvWindow = 400;
-    TrainedDual dual = trainDual(
-        records, cfg, opts,
-        [](const Dataset &tune, uint64_t s) -> std::unique_ptr<Model> {
-            ForestConfig fc;
-            fc.numTrees = 8;
-            fc.maxDepth = 8;
-            fc.seed = s;
-            return std::make_unique<RandomForest>(tune, fc);
-        });
+    TrainedDual dual = trainDual(records, cfg, opts, forestFactory(8, 8));
     DualModelPredictor predictor(dual.high, dual.low, kAllColumns,
                                  opts.granularityInstr, "psca-cli");
     const FirmwarePackage pkg =
@@ -302,11 +355,18 @@ cmdFlash(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
-    Workload w;
-    if (!resolveApp(argv[1], optLen(argc, argv, 400000), w)) {
-        std::fprintf(stderr, "unknown app '%s'\n", argv[1]);
-        return 2;
+    uint64_t len = 400000;
+    for (int i = 2; i < argc; i += 2) {
+        const char *flag = argv[i];
+        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
+        if (std::strcmp(flag, "--len"))
+            return unknownFlag(flag);
+        if (!parseUint(value, 1, len))
+            return badFlag(flag, value, kPositive);
     }
+    Workload w;
+    if (!resolveApp(argv[1], len, w))
+        return badApp(argv[1]);
     FirmwarePackage pkg = FirmwarePackage::load(argv[0]);
     std::printf("flashed %s (granularity %lu)\n", pkg.name.c_str(),
                 static_cast<unsigned long>(pkg.granularityInstr));
@@ -338,11 +398,12 @@ int
 cmdCampaign(int argc, char **argv)
 {
     std::string out_path = cacheDirectory() + "/campaign_fw.bin";
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-            out_path = argv[++i];
-        else
-            return usage();
+    for (int i = 0; i < argc; i += 2) {
+        if (std::strcmp(argv[i], "--out"))
+            return unknownFlag(argv[i]);
+        if (i + 1 == argc)
+            return badFlag("--out", nullptr, "a file path");
+        out_path = argv[i + 1];
     }
 
     const auto start = std::chrono::steady_clock::now();
@@ -351,14 +412,7 @@ cmdCampaign(int argc, char **argv)
     ExperimentContext ctx =
         setupExperiment(scale, /*need_spec=*/false);
 
-    auto rf_factory = [](const Dataset &tune,
-                         uint64_t s) -> std::unique_ptr<Model> {
-        ForestConfig fc;
-        fc.numTrees = 8;
-        fc.maxDepth = 8;
-        fc.seed = s;
-        return std::make_unique<RandomForest>(tune, fc);
-    };
+    auto rf_factory = forestFactory(8, 8);
 
     DualTrainOptions opts;
     opts.granularityInstr = 40000;
@@ -423,17 +477,29 @@ cmdServe(int argc, char **argv)
     uint64_t len = 240000;
     uint64_t max_blocks = 0;
     serve::ServeConfig cfg = serve::ServeConfig::fromEnv();
-    for (int i = 0; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--schedule"))
-            schedule_spec = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--seed"))
-            cfg.seed = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--dir"))
-            cfg.dir = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--len"))
-            len = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--blocks"))
-            max_blocks = std::strtoull(argv[i + 1], nullptr, 10);
+    for (int i = 0; i < argc; i += 2) {
+        const char *flag = argv[i];
+        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
+        if (!std::strcmp(flag, "--schedule")) {
+            if (!value)
+                return badFlag(flag, value, "app:blocks,...");
+            schedule_spec = value;
+        } else if (!std::strcmp(flag, "--dir")) {
+            if (!value)
+                return badFlag(flag, value, "a directory");
+            cfg.dir = value;
+        } else if (!std::strcmp(flag, "--seed")) {
+            if (!parseUint(value, 0, cfg.seed))
+                return badFlag(flag, value, kNonNegative);
+        } else if (!std::strcmp(flag, "--len")) {
+            if (!parseUint(value, 1, len))
+                return badFlag(flag, value, kPositive);
+        } else if (!std::strcmp(flag, "--blocks")) {
+            if (!parseUint(value, 0, max_blocks))
+                return badFlag(flag, value, kNonNegative);
+        } else {
+            return unknownFlag(flag);
+        }
     }
 
     std::vector<serve::ServeSegment> schedule;
@@ -441,22 +507,19 @@ cmdServe(int argc, char **argv)
     std::string entry;
     while (std::getline(ss, entry, ',')) {
         const size_t colon = entry.rfind(':');
-        if (colon == std::string::npos || colon + 1 >= entry.size())
-            return usage();
         serve::ServeSegment seg;
-        seg.blocks =
-            std::strtoull(entry.c_str() + colon + 1, nullptr, 10);
-        if (seg.blocks == 0 ||
+        if (colon == std::string::npos ||
+            !parseUint(entry.c_str() + colon + 1, 1, seg.blocks) ||
             !resolveApp(entry.substr(0, colon), len, seg.workload))
         {
-            std::fprintf(stderr, "bad schedule entry '%s'\n",
-                         entry.c_str());
-            return 2;
+            return badFlag("--schedule", entry.c_str(),
+                           "app:blocks entries with blocks > 0");
         }
         schedule.push_back(std::move(seg));
     }
     if (schedule.empty())
-        return usage();
+        return badFlag("--schedule", schedule_spec.c_str(),
+                       "app:blocks entries with blocks > 0");
 
     BuildConfig build;
     build.counterIds = defaultCounterIds();
