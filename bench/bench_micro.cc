@@ -28,7 +28,6 @@
 #include "obs/phase.hh"
 #include "obs/stats.hh"
 #include "sim/core.hh"
-#include "trace/decoded.hh"
 #include "trace/generator.hh"
 #include "uc/compilers.hh"
 #include "core/runner.hh"
@@ -219,29 +218,6 @@ BM_CoreSimulation(benchmark::State &state)
 BENCHMARK(BM_CoreSimulation)->Arg(0)->Arg(1);
 
 void
-BM_DecodedReplay(benchmark::State &state)
-{
-    // Pure replay of a pre-decoded SoA trace: no generation, no
-    // decode — the hot loop the dataset builder runs after its one
-    // decode pass (and what the perf-smoke job tracks).
-    constexpr size_t kUops = 1u << 21;
-    TraceGenerator gen(mixedWorkload());
-    const DecodedTrace trace = decodeTrace(gen, kUops);
-    ClusteredCore core;
-    core.reset();
-    core.setMode(CoreMode::HighPerf);
-    size_t base = 0;
-    for (auto _ : state) {
-        core.run(trace, base, 10000);
-        base += 10000;
-        if (base + 10000 > trace.size())
-            base = 0;
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_DecodedReplay);
-
-void
 BM_PredictBatch_forest(benchmark::State &state)
 {
     const Dataset d = randomData(4096, 12, 9);
@@ -299,39 +275,6 @@ BM_PredictQuant(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PredictQuant);
-
-void
-BM_CoreSimulationAosOracle(benchmark::State &state)
-{
-    // The retired AoS path, kept as a correctness oracle; benched so
-    // regressions in the SoA win show up as a shrinking gap.
-    ClusteredCore core;
-    core.reset();
-    core.setMode(CoreMode::HighPerf);
-    core.setReplayPath(ReplayPath::AosOracle);
-    TraceGenerator gen(mixedWorkload());
-    for (auto _ : state) {
-        core.run(gen, 10000);
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_CoreSimulationAosOracle);
-
-void
-BM_TraceDecode(benchmark::State &state)
-{
-    // One-time cost amortized across every replay of a trace.
-    TraceGenerator gen(mixedWorkload());
-    DecodedTrace trace;
-    trace.reserve(1u << 16);
-    for (auto _ : state) {
-        trace.clear();
-        gen.fillDecoded(trace, 1u << 16);
-        benchmark::DoNotOptimize(trace.size());
-    }
-    state.SetItemsProcessed(state.iterations() * (1u << 16));
-}
-BENCHMARK(BM_TraceDecode);
 
 void
 BM_ForestTraining(benchmark::State &state)
@@ -454,10 +397,10 @@ recordCrossvalSpeedup()
 }
 
 /**
- * Wall-clock the SoA replay against the AoS oracle on the same
- * 2M-uop trace (best of three passes each, to ride out machine
- * noise) and record both as gauges, so BENCH_micro.json documents
- * the data-layout win next to the whole-run sim.replay_* gauges the
+ * Wall-clock generator-streaming replay of a 2M-uop trace on a
+ * freshly reset core (best of three passes, to ride out machine
+ * noise) and record it as the sim.replay_stream_muops_per_s gauge the
+ * perf ratchet gates, next to the whole-run sim.replay_* gauges the
  * ReportGuard derives.
  */
 void
@@ -469,47 +412,28 @@ recordReplayThroughput()
     constexpr uint64_t kUops = kIntervals * kInterval;
     const Workload w = mixedWorkload();
 
-    TraceGenerator dec_gen(w);
-    const DecodedTrace trace = decodeTrace(dec_gen, kUops);
-
-    auto best_muops = [&](auto &&pass) {
-        double best = 0.0;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto start = clock::now();
-            pass();
-            const double s =
-                std::chrono::duration<double>(clock::now() - start)
-                    .count();
-            const double muops = s > 0.0 ? kUops / s / 1e6 : 0.0;
-            if (muops > best)
-                best = muops;
-        }
-        return best;
-    };
-
-    const double soa = best_muops([&] {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto start = clock::now();
         ClusteredCore core;
         core.reset();
         core.setMode(CoreMode::HighPerf);
-        for (uint64_t t = 0; t < kIntervals; ++t)
-            core.run(trace, t * kInterval, kInterval);
-    });
-    const double aos = best_muops([&] {
-        ClusteredCore core;
-        core.reset();
-        core.setMode(CoreMode::HighPerf);
-        core.setReplayPath(ReplayPath::AosOracle);
         TraceGenerator gen(w);
         for (uint64_t t = 0; t < kIntervals; ++t)
             core.run(gen, kInterval);
-    });
+        const double s =
+            std::chrono::duration<double>(clock::now() - start).count();
+        const double muops = s > 0.0 ? kUops / s / 1e6 : 0.0;
+        if (muops > best)
+            best = muops;
+    }
 
-    auto &reg = obs::StatRegistry::instance();
-    reg.gauge("sim.replay_soa_muops_per_s").set(soa);
-    reg.gauge("sim.replay_aos_muops_per_s").set(aos);
-    std::printf("replay throughput: %.1f Muops/s SoA, %.1f Muops/s "
-                "AoS oracle (%.2fx)\n",
-                soa, aos, aos > 0.0 ? soa / aos : 0.0);
+    obs::StatRegistry::instance()
+        .gauge("sim.replay_stream_muops_per_s")
+        .set(best);
+    std::printf("replay throughput: %.1f Muops/s (generator "
+                "streaming)\n",
+                best);
 }
 
 /**

@@ -12,7 +12,6 @@
 #include "obs/stats.hh"
 #include "sim/core.hh"
 #include "sim/memo.hh"
-#include "trace/decoded.hh"
 #include "trace/generator.hh"
 
 namespace psca {
@@ -88,22 +87,20 @@ readRecord(BinaryReader &in)
 }
 
 /**
- * One fixed-mode recording pass over a pre-decoded trace. The full
- * per-interval counter deltas come from the simulation memo cache
- * when available (a fixed-mode replay is a pure function of the
- * memo key); either way the projection to the record's float
- * columns runs below, so records are byte-identical whether the
- * deltas were replayed or memoized.
+ * One fixed-mode recording pass over the workload's micro-op stream,
+ * generated afresh for this pass. The full per-interval counter
+ * deltas come from the simulation memo cache when available (a
+ * fixed-mode replay is a pure function of the memo key); either way
+ * the projection to the record's float columns runs below, so
+ * records are byte-identical whether the deltas were replayed or
+ * memoized.
  */
 void
-recordMode(const DecodedTrace &trace, uint64_t trace_hash,
-           const BuildConfig &cfg, CoreMode mode,
+recordMode(const Workload &workload, size_t n_intervals,
+           uint64_t trace_hash, const BuildConfig &cfg, CoreMode mode,
            std::vector<float> &deltas, std::vector<float> &cycles,
            std::vector<float> &energy)
 {
-    const size_t n_intervals =
-        static_cast<size_t>((trace.size() - cfg.warmupInstr) /
-                            cfg.intervalInstr);
     const size_t n_ctr = cfg.counterIds.size();
     deltas.reserve(n_intervals * n_ctr);
     cycles.reserve(n_intervals);
@@ -120,15 +117,12 @@ recordMode(const DecodedTrace &trace, uint64_t trace_hash,
         ClusteredCore core(cfg.core);
         core.reset();
         core.setMode(mode);
-        size_t cursor = 0;
-        if (cfg.warmupInstr > 0) {
-            core.run(trace, 0, cfg.warmupInstr);
-            cursor = static_cast<size_t>(cfg.warmupInstr);
-        }
+        TraceGenerator gen(workload);
+        if (cfg.warmupInstr > 0)
+            core.run(gen, cfg.warmupInstr);
         std::vector<uint64_t> prev(core.counters().raw());
         for (size_t t = 0; t < n_intervals; ++t) {
-            core.run(trace, cursor, cfg.intervalInstr);
-            cursor += static_cast<size_t>(cfg.intervalInstr);
+            core.run(gen, cfg.intervalInstr);
             const auto &now = core.counters().raw();
             std::vector<uint64_t> delta_all(now.size());
             for (size_t i = 0; i < now.size(); ++i)
@@ -177,16 +171,16 @@ recordTrace(const Workload &workload, const BuildConfig &cfg,
     record.traceId = trace_id;
     record.numCounters = static_cast<uint16_t>(cfg.counterIds.size());
 
-    // Decode the workload's uop stream once; both fixed-mode passes
-    // replay the same read-only SoA trace. The memo key mixes the
-    // content hash with the warmup/interval split because those
-    // boundaries determine how the deltas are sliced.
+    // Nothing holds the trace: the hash pass and both fixed-mode
+    // passes each regenerate the identical stream (DESIGN.md §9).
+    // The memo key mixes the content hash with the warmup/interval
+    // split because those boundaries determine how the deltas are
+    // sliced.
     const uint64_t n_intervals = workload.lengthInstr / cfg.intervalInstr;
-    TraceGenerator gen(workload);
-    const DecodedTrace trace = decodeTrace(
-        gen, cfg.warmupInstr + n_intervals * cfg.intervalInstr);
     const uint64_t trace_hash = mixSeeds(
-        mixSeeds(trace.contentHash(), cfg.warmupInstr),
+        mixSeeds(traceContentHash(workload, cfg.warmupInstr +
+                                      n_intervals * cfg.intervalInstr),
+                 cfg.warmupInstr),
         cfg.intervalInstr);
 
     // The two fixed-mode passes are independent simulations writing
@@ -195,13 +189,13 @@ recordTrace(const Workload &workload, const BuildConfig &cfg,
     // (nested regions run inline).
     ThreadPool::instance().parallelFor(2, [&](size_t m) {
         if (m == 0)
-            recordMode(trace, trace_hash, cfg, CoreMode::HighPerf,
-                       record.deltaHigh, record.cyclesHigh,
-                       record.energyHighNj);
+            recordMode(workload, n_intervals, trace_hash, cfg,
+                       CoreMode::HighPerf, record.deltaHigh,
+                       record.cyclesHigh, record.energyHighNj);
         else
-            recordMode(trace, trace_hash, cfg, CoreMode::LowPower,
-                       record.deltaLow, record.cyclesLow,
-                       record.energyLowNj);
+            recordMode(workload, n_intervals, trace_hash, cfg,
+                       CoreMode::LowPower, record.deltaLow,
+                       record.cyclesLow, record.energyLowNj);
     });
     PSCA_ASSERT(record.cyclesHigh.size() == record.cyclesLow.size(),
                 "mode runs disagree on interval count");

@@ -52,6 +52,9 @@ struct SimObs
     }
 };
 
+/** Micro-ops run() pulls from the generator per fill. */
+constexpr size_t kFillChunk = 2048;
+
 /** Bucket a residency/latency value into a 16-bucket histogram. */
 uint16_t
 residencyBucket(uint64_t v)
@@ -124,8 +127,7 @@ ClusteredCore::ClusteredCore(const CoreConfig &cfg)
     fwdTable_.assign(64, FwdEntry{});
     // Staging buffers are sized once here so steady-state replay
     // never reallocates.
-    fillBuffer_.reserve(2048);
-    decodeBuf_.reserve(4096);
+    fillBuffer_.reserve(kFillChunk);
 }
 
 void
@@ -466,31 +468,6 @@ ClusteredCore::processUop(const MicroOp &op)
     ++hot_.rsOccHist[cluster][residencyBucket(rs_res)];
 }
 
-void
-ClusteredCore::replayDecoded(const DecodedTrace &trace, size_t begin,
-                             size_t n)
-{
-    const uint64_t *pc = trace.pc();
-    const uint64_t *addr = trace.addr();
-    const uint8_t *cls = trace.cls();
-    const int8_t *dst = trace.dst();
-    const int8_t *src0 = trace.src0();
-    const int8_t *src1 = trace.src1();
-    const uint8_t *taken = trace.taken();
-
-    for (size_t i = begin; i < begin + n; ++i) {
-        MicroOp op;
-        op.pc = pc[i];
-        op.addr = addr[i];
-        op.cls = static_cast<OpClass>(cls[i]);
-        op.dst = dst[i];
-        op.src0 = src0[i];
-        op.src1 = src1[i];
-        op.branchTaken = taken[i] != 0;
-        processUop(op);
-    }
-}
-
 ClusteredCore::IntervalSnapshot
 ClusteredCore::beginInterval()
 {
@@ -566,37 +543,15 @@ ClusteredCore::run(TraceGenerator &gen, uint64_t n)
     const IntervalSnapshot snap = beginInterval();
 
     uint64_t remaining = n;
-    if (replayPath_ == ReplayPath::AosOracle) {
-        while (remaining > 0) {
-            const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(remaining, 2048));
-            fillBuffer_.clear();
-            gen.fill(fillBuffer_, chunk);
-            for (const MicroOp &op : fillBuffer_)
-                processUop(op);
-            remaining -= chunk;
-        }
-    } else {
-        while (remaining > 0) {
-            const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(remaining, 4096));
-            decodeBuf_.clear();
-            gen.fillDecoded(decodeBuf_, chunk);
-            replayDecoded(decodeBuf_, 0, chunk);
-            remaining -= chunk;
-        }
+    while (remaining > 0) {
+        const size_t chunk = static_cast<size_t>(
+            std::min<uint64_t>(remaining, kFillChunk));
+        fillBuffer_.clear();
+        gen.fill(fillBuffer_, chunk);
+        for (const MicroOp &op : fillBuffer_)
+            processUop(op);
+        remaining -= chunk;
     }
-    return endInterval(snap, n, obs::elapsedNs(t0));
-}
-
-IntervalStats
-ClusteredCore::run(const DecodedTrace &trace, size_t begin, uint64_t n)
-{
-    PSCA_ASSERT(begin + n <= trace.size(),
-                "decoded replay range out of bounds");
-    const auto t0 = std::chrono::steady_clock::now();
-    const IntervalSnapshot snap = beginInterval();
-    replayDecoded(trace, begin, static_cast<size_t>(n));
     return endInterval(snap, n, obs::elapsedNs(t0));
 }
 

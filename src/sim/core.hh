@@ -18,17 +18,13 @@
  * microcode on cluster 1, then clock-gates cluster 2 (tens of
  * cycles); ungating is a few cycles.
  *
- * Hot path (DESIGN.md §9): there is one replay kernel, entered
- * through run(TraceGenerator&, n) or run(const DecodedTrace&, ...);
- * it consumes a pre-decoded structure-of-arrays trace
- * (trace/decoded.hh) one micro-op at a time, batches all per-uop
- * telemetry into a plain-struct accumulator flushed once per
+ * Hot path (DESIGN.md §9): there is one trace representation, the
+ * generator's MicroOp stream, and one replay entry point,
+ * run(TraceGenerator&, n). It fills a reused chunk buffer from the
+ * generator and feeds each micro-op to processUop(), batches all
+ * per-uop telemetry into a plain-struct accumulator flushed once per
  * interval, and addresses every circular structure with wrap
- * counters instead of modulo. The original array-of-structs fill()
- * path is kept as a correctness oracle behind ReplayPath::AosOracle,
- * which tests and bench_micro select through setReplayPath(); both
- * paths share one processUop(), so they are bit-identical by
- * construction.
+ * counters instead of modulo.
  */
 
 #ifndef PSCA_SIM_CORE_HH
@@ -42,7 +38,6 @@
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "telemetry/counters.hh"
-#include "trace/decoded.hh"
 #include "trace/generator.hh"
 
 namespace psca {
@@ -61,13 +56,6 @@ struct IntervalStats
                 static_cast<double>(cycles)
                       : 0.0;
     }
-};
-
-/** Which trace representation run(TraceGenerator&, n) replays. */
-enum class ReplayPath : uint8_t
-{
-    Soa,       //!< pre-decoded structure-of-arrays (default)
-    AosOracle, //!< original MicroOp fill() path (correctness oracle)
 };
 
 /**
@@ -134,18 +122,6 @@ class ClusteredCore
      */
     IntervalStats run(TraceGenerator &gen, uint64_t n);
 
-    /**
-     * Execute micro-ops [begin, begin + n) of a pre-decoded trace.
-     * Timing-equivalent to feeding the same stream through a
-     * generator; lets one decode feed several replays.
-     */
-    IntervalStats run(const DecodedTrace &trace, size_t begin,
-                      uint64_t n);
-
-    /** Select the replay representation (tests/benches). */
-    void setReplayPath(ReplayPath path) { replayPath_ = path; }
-    ReplayPath replayPath() const { return replayPath_; }
-
     /** Telemetry accumulated since reset(). */
     const Counters &counters() const { return counters_; }
     Counters &counters() { return counters_; }
@@ -173,15 +149,12 @@ class ClusteredCore
     IntervalSnapshot beginInterval();
     IntervalStats endInterval(const IntervalSnapshot &snap, uint64_t n,
                               uint64_t elapsed_ns);
-    void replayDecoded(const DecodedTrace &trace, size_t begin,
-                       size_t n);
     void processUop(const MicroOp &op);
     int steer(const MicroOp &op);
     int execLatency(OpClass cls) const;
 
     CoreConfig cfg_;
     CoreMode mode_ = CoreMode::HighPerf;
-    ReplayPath replayPath_ = ReplayPath::Soa;
     Counters counters_;
     HotCtrs hot_;
     MemoryHierarchy mem_;
@@ -231,8 +204,7 @@ class ClusteredCore
     // Interval bookkeeping.
     uint64_t intervalIssued_ = 0;
 
-    std::vector<MicroOp> fillBuffer_; //!< AoS-oracle staging
-    DecodedTrace decodeBuf_;          //!< SoA staging
+    std::vector<MicroOp> fillBuffer_; //!< run() chunk staging
 };
 
 } // namespace psca

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "trace/decoded.hh"
 
 namespace psca {
 
@@ -126,28 +125,35 @@ TraceGenerator::fill(std::vector<MicroOp> &out, size_t n)
     }
 }
 
-void
-TraceGenerator::fillDecoded(DecodedTrace &out, size_t n)
+uint64_t
+traceContentHash(const Workload &workload, uint64_t n)
 {
-    size_t remaining = n;
-    while (remaining > 0) {
-        if (buffer_pos_ >= buffer_.size()) {
-            buffer_.clear();
-            buffer_pos_ = 0;
-            if (phase_remaining_ == 0)
-                enterNextPhase();
-            const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(phase_remaining_, 4096));
-            kernels_[current_phase_]->emit(buffer_, chunk, rng_);
-            phase_remaining_ -= chunk;
+    constexpr size_t kChunk = 4096;
+    TraceGenerator gen(workload);
+    std::vector<MicroOp> chunk;
+    chunk.reserve(kChunk);
+    uint64_t h = mixSeeds(0x5ca1ab1edec0deULL, n);
+    for (uint64_t done = 0; done < n; done += chunk.size()) {
+        chunk.clear();
+        gen.fill(chunk, static_cast<size_t>(
+                            std::min<uint64_t>(n - done, kChunk)));
+        for (const MicroOp &op : chunk) {
+            // Fold the narrow fields into one word so each op costs
+            // two mixes; the mix is order-sensitive through h.
+            const uint64_t packed =
+                (static_cast<uint64_t>(op.cls) << 40) ^
+                (static_cast<uint64_t>(static_cast<uint8_t>(op.dst))
+                 << 32) ^
+                (static_cast<uint64_t>(static_cast<uint8_t>(op.src0))
+                 << 24) ^
+                (static_cast<uint64_t>(static_cast<uint8_t>(op.src1))
+                 << 16) ^
+                (static_cast<uint64_t>(op.branchTaken ? 1 : 0) << 8);
+            h = mixSeeds(h, op.pc ^ (op.addr * 0x9e3779b97f4a7c15ULL));
+            h = mixSeeds(h, packed);
         }
-        const size_t take =
-            std::min(remaining, buffer_.size() - buffer_pos_);
-        out.append(buffer_.data() + buffer_pos_, take);
-        buffer_pos_ += take;
-        remaining -= take;
-        produced_ += take;
     }
+    return h;
 }
 
 } // namespace psca

@@ -2,9 +2,12 @@
  * @file
  * Streaming trace generation from an application genome. The
  * generator is fully deterministic in (genome, input_seed, trace
- * index), and reset() reproduces the identical micro-op stream — the
+ * index), and reset() reproduces the identical micro-op stream. The
  * dataset builder relies on this to simulate the same trace in both
- * cluster configurations without storing it.
+ * cluster configurations without storing it: the memo-key hash pass
+ * (traceContentHash) and each recording pass build their own
+ * generator and stream the micro-ops in fixed-size chunks
+ * (DESIGN.md §9).
  */
 
 #ifndef PSCA_TRACE_GENERATOR_HH
@@ -19,8 +22,6 @@
 #include "trace/genome.hh"
 
 namespace psca {
-
-class DecodedTrace;
 
 /**
  * One recorded trace: an application genome executed on one input,
@@ -48,13 +49,6 @@ class TraceGenerator
     /** Append exactly n micro-ops to out. */
     void fill(std::vector<MicroOp> &out, size_t n);
 
-    /**
-     * Append exactly n micro-ops to a pre-decoded SoA trace,
-     * bypassing the AoS copy. Produces the identical stream fill()
-     * would (the internal buffering is caller-invisible).
-     */
-    void fillDecoded(DecodedTrace &out, size_t n);
-
     /** Restart the identical stream from the beginning. */
     void reset();
 
@@ -81,6 +75,16 @@ class TraceGenerator
     size_t buffer_pos_ = 0;
     std::vector<double> weights_; //!< enterNextPhase scratch
 };
+
+/**
+ * Order-sensitive 64-bit hash of every timing-relevant field of the
+ * first n micro-ops of the workload's stream, computed in one
+ * streaming generation pass. Equal hashes identify streams that
+ * replay identically, so it is the memo-cache trace key
+ * (sim/memo.hh). `memSize` is excluded because the timing model never
+ * reads it; the length is mixed in first.
+ */
+uint64_t traceContentHash(const Workload &workload, uint64_t n);
 
 } // namespace psca
 

@@ -19,12 +19,13 @@ runs in this mode and gates the merge. When a blocking run fails on
 an intentional change (new kernel, retuned model), re-record with
 --update-baseline on a quiet machine and commit the result.
 
-A missing baseline file or a gauge that has disappeared from the
-report is a bookkeeping gap, not a perf regression: both warn and
-exit 0 so a renamed gauge or a fresh checkout never fails the job.
-Re-record with --update-baseline, which rewrites the baseline's
-gauge values from the measured report (preserving any per-gauge
-tolerance_pct) and exits 0.
+An unreadable report, a missing or unreadable baseline, and a
+baseline gauge that has disappeared from the report mean nothing was
+checked. Warn-only mode warns and exits 0; --blocking exits 1 with
+one line naming the file or gauge, so a renamed or deleted gauge can
+never switch the gate off silently. --update-baseline rewrites the
+baseline's gauge values from the measured report (preserving any
+per-gauge tolerance_pct) and exits 0.
 """
 
 import argparse
@@ -56,20 +57,28 @@ def main() -> int:
                          "gauge carries no tolerance_pct (default "
                          "0.20)")
     ap.add_argument("--blocking", action="store_true",
-                    help="exit 1 when any gauge regressed (CI gate); "
-                         "without it regressions only warn")
+                    help="exit 1 when any gauge regressed or could "
+                         "not be checked (CI gate); without it both "
+                         "only warn")
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline's gauge values from "
                          "the report instead of comparing")
     args = ap.parse_args()
 
+    def unchecked(message):
+        """Report a gap that left the gate unchecked; exit status."""
+        if args.blocking and not args.update_baseline:
+            print(f"::error::{message}")
+            return 1
+        print(f"::warning::{message}")
+        return 0
+
     try:
         with open(args.report) as f:
             measured = json.load(f).get("gauges", {})
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"::warning::perf report {args.report} unreadable "
-              f"({err}); nothing to check")
-        return 0
+    except (OSError, json.JSONDecodeError, AttributeError) as err:
+        return unchecked(f"perf report {args.report} unreadable "
+                         f"({err}); nothing checked")
 
     if args.update_baseline:
         doc = {}
@@ -104,24 +113,23 @@ def main() -> int:
         return 0
 
     if not os.path.exists(args.baseline):
-        print(f"::warning::perf baseline {args.baseline} missing; "
-              f"record one with --update-baseline")
-        return 0
+        return unchecked(f"perf baseline {args.baseline} missing; "
+                         f"record one with --update-baseline")
     try:
         with open(args.baseline) as f:
             baseline = json.load(f).get("gauges", {})
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"::warning::perf baseline {args.baseline} unreadable "
-              f"({err}); re-record with --update-baseline")
-        return 0
+    except (OSError, json.JSONDecodeError, AttributeError) as err:
+        return unchecked(f"perf baseline {args.baseline} unreadable "
+                         f"({err}); re-record with --update-baseline")
 
     regressed = 0
+    missing = 0
     for name, entry in sorted(baseline.items()):
         got = measured.get(name)
         if got is None:
-            print(f"::warning::perf gauge {name} missing from "
-                  f"{args.report}; re-record the baseline if it was "
-                  f"renamed")
+            missing += unchecked(f"perf gauge {name} missing from "
+                                 f"{args.report}; re-record the "
+                                 f"baseline if it was renamed")
             continue
         recorded = entry_value(entry)
         tolerance = entry_tolerance(entry, args.threshold)
@@ -141,7 +149,7 @@ def main() -> int:
         print(f"{regressed} gauge(s) regressed; warn-only mode "
               f"(pass --blocking to gate)")
         return 0
-    return 1 if regressed else 0
+    return 1 if regressed or missing else 0
 
 
 if __name__ == "__main__":
