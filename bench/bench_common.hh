@@ -52,10 +52,10 @@ class ReportGuard
   private:
     /**
      * Derive whole-run simulator throughput from the sim.* counters
-     * (replay wall time, instructions, cycles) so every BENCH_*.json
-     * reports replay speed in the same units the perf-smoke CI job
-     * checks. A fully cache-warm bench simulates nothing and honestly
-     * reports 0.
+     * (replay thread-CPU time, instructions, cycles) so every
+     * BENCH_*.json reports per-thread replay speed in the same units
+     * the perf-smoke CI job checks. A fully cache-warm bench
+     * simulates nothing and honestly reports 0.
      */
     static void
     setReplayThroughputGauges()

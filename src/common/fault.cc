@@ -1,6 +1,7 @@
 #include "common/fault.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -163,6 +164,22 @@ FaultRegistry::armSite(FaultSite &site) const
     inform("fault site ", site.name_, " armed: rate=", site.rate_,
            site.hasParam_ ? " param=" : "",
            site.hasParam_ ? std::to_string(site.param_) : "");
+}
+
+uint64_t
+FaultRegistry::specHash() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!anyEnabled_)
+        return 0;
+    uint64_t h = mixSeeds(0xfa017ULL, seed_);
+    for (const auto &[name, se] : spec_) {
+        h = mixSeeds(h, hashName(name));
+        h = mixSeeds(h, std::bit_cast<uint64_t>(se.rate));
+        h = mixSeeds(h, std::bit_cast<uint64_t>(se.param));
+        h = mixSeeds(h, se.hasParam ? 1 : 0);
+    }
+    return h;
 }
 
 void

@@ -195,6 +195,13 @@ class FaultRegistry
 
     uint64_t seed() const { return seed_; }
 
+    /**
+     * Hash of the armed spec (sites, rates, params) and the seed: two
+     * runs under equal hashes see identical fault draws. 0 when no
+     * site is armed, whatever the seed.
+     */
+    uint64_t specHash() const;
+
     /** Visit every declared site (report export, tests). */
     void forEachSite(
         const std::function<void(const FaultSite &)> &fn) const;

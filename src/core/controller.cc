@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/fault.hh"
+#include "common/serialize.hh"
 #include "obs/phase.hh"
 #include "obs/stats.hh"
 #include "sim/core.hh"
@@ -99,6 +100,28 @@ DualModelPredictor::opsPerInference() const
                     low_.model->opsPerInference());
 }
 
+std::unique_ptr<GatePredictor>
+DualModelPredictor::fork() const
+{
+    // Stateless between decisions: a copy shares both models.
+    return std::make_unique<DualModelPredictor>(*this);
+}
+
+uint64_t
+DualModelPredictor::fingerprint() const
+{
+    BinaryWriter out;
+    out.putString("dual");
+    out.put(granularity_);
+    out.putVector(columns_);
+    for (const ScaledModel *slot : {&high_, &low_}) {
+        out.putVector(slot->scaler.mean);
+        out.putVector(slot->scaler.invStd);
+        out.put(slot->model->fingerprint());
+    }
+    return out.checksum();
+}
+
 SrchPredictor::SrchPredictor(std::shared_ptr<SrchModel> high,
                              std::shared_ptr<SrchModel> low,
                              std::vector<size_t> columns,
@@ -142,6 +165,24 @@ SrchPredictor::opsPerInference() const
 {
     return std::max(high_->opsPerInference(),
                     low_->opsPerInference());
+}
+
+std::unique_ptr<GatePredictor>
+SrchPredictor::fork() const
+{
+    return std::make_unique<SrchPredictor>(*this);
+}
+
+uint64_t
+SrchPredictor::fingerprint() const
+{
+    BinaryWriter out;
+    out.putString("srch");
+    out.put(granularity_);
+    out.putVector(columns_);
+    out.put(high_->fingerprint());
+    out.put(low_->fingerprint());
+    return out.checksum();
 }
 
 BlockReplayer::BlockReplayer(const Workload &workload,
@@ -362,8 +403,6 @@ runClosedLoop(const Workload &workload, const TraceRecord &reference,
     reg.counter("controller.mode_transitions")
         .add(result.modeSwitches);
     result.confusion.exportTo(reg, "controller.confusion");
-    reg.gauge("controller.last_rsv").set(result.rsv);
-    reg.gauge("controller.last_pgos").set(result.pgos);
     return result;
 }
 

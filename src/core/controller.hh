@@ -57,6 +57,26 @@ class GatePredictor
     virtual uint32_t opsPerInference() const = 0;
 
     virtual std::string name() const = 0;
+
+    /**
+     * A predictor with fresh per-run state that shares this one's
+     * immutable trained models (through their shared_ptrs). A run on
+     * a fork is a pure function of (predictor, trace): evaluateSuite
+     * gives every trace its own fork, so no state leaks between
+     * traces and concurrent lanes share nothing mutable. Must be safe
+     * to call concurrently on one predictor.
+     */
+    virtual std::unique_ptr<GatePredictor> fork() const = 0;
+
+    /**
+     * Hash of everything decide() and opsPerInference() read
+     * (columns, granularity, scalers, model parameters, thresholds,
+     * wrapper configuration) and of the predictor class: equal
+     * fingerprints make equal decisions on equal telemetry. Keys the
+     * closed-loop result table beneath evaluateSuite, so it must
+     * never depend on an address.
+     */
+    virtual uint64_t fingerprint() const = 0;
 };
 
 /**
@@ -114,6 +134,8 @@ class DualModelPredictor : public GatePredictor
                 CoreMode mode) override;
     uint32_t opsPerInference() const override;
     std::string name() const override { return name_; }
+    std::unique_ptr<GatePredictor> fork() const override;
+    uint64_t fingerprint() const override;
 
     const ScaledModel &highSlot() const { return high_; }
     const ScaledModel &lowSlot() const { return low_; }
@@ -141,6 +163,8 @@ class SrchPredictor : public GatePredictor
                 CoreMode mode) override;
     uint32_t opsPerInference() const override;
     std::string name() const override { return name_; }
+    std::unique_ptr<GatePredictor> fork() const override;
+    uint64_t fingerprint() const override;
 
   private:
     std::shared_ptr<SrchModel> high_;

@@ -224,6 +224,21 @@ VmPredictor::VmPredictor(FirmwarePackage package)
     }
 }
 
+std::unique_ptr<GatePredictor>
+VmPredictor::fork() const
+{
+    return std::make_unique<VmPredictor>(package_);
+}
+
+uint64_t
+VmPredictor::fingerprint() const
+{
+    BinaryWriter out;
+    out.putString("vm");
+    package_.write(out);
+    return out.checksum();
+}
+
 uint32_t
 VmPredictor::opsPerInference() const
 {

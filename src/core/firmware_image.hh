@@ -104,6 +104,12 @@ class VmPredictor : public GatePredictor
     uint32_t opsPerInference() const override;
     std::string name() const override { return package_.name; }
 
+    /** A fresh VM (zero ops, no trap) over the same package. */
+    std::unique_ptr<GatePredictor> fork() const override;
+
+    /** FNV-1a of the package's image bytes. */
+    uint64_t fingerprint() const override;
+
     /** Cumulative microcontroller ops actually executed. */
     uint64_t vmOpsExecuted() const { return vm_.totalOps(); }
 

@@ -1,6 +1,7 @@
 #include "core/guardrail.hh"
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "obs/stats.hh"
 
 namespace psca {
@@ -9,6 +10,31 @@ GuardrailedPredictor::GuardrailedPredictor(GatePredictor &inner,
                                            const GuardrailConfig &cfg)
     : inner_(inner), cfg_(cfg)
 {}
+
+GuardrailedPredictor::GuardrailedPredictor(
+    std::unique_ptr<GatePredictor> inner, const GuardrailConfig &cfg)
+    : ownedInner_(std::move(inner)), inner_(*ownedInner_), cfg_(cfg)
+{}
+
+std::unique_ptr<GatePredictor>
+GuardrailedPredictor::fork() const
+{
+    return std::unique_ptr<GatePredictor>(
+        new GuardrailedPredictor(inner_.fork(), cfg_));
+}
+
+uint64_t
+GuardrailedPredictor::fingerprint() const
+{
+    BinaryWriter out;
+    out.putString("guardrail");
+    out.put(inner_.fingerprint());
+    out.put(cfg_.tripRatio);
+    out.put<int32_t>(cfg_.patience);
+    out.put<int32_t>(cfg_.holdoffBlocks);
+    out.put(cfg_.referenceDecay);
+    return out.checksum();
+}
 
 uint64_t
 GuardrailedPredictor::granularity() const

@@ -41,7 +41,9 @@ struct GuardrailConfig
  * Wraps any GatePredictor with the fail-safe. The wrapper observes
  * per-block IPC through the sub-interval cycles the controller
  * already forwards, maintains the reactive high-mode reference, and
- * vetoes gate decisions while tripped.
+ * vetoes gate decisions while tripped. That reference, the violation
+ * streak, the hold-off and the trip count are per-run state: fork()
+ * starts them fresh around a fork of the inner predictor.
  */
 class GuardrailedPredictor : public GatePredictor
 {
@@ -55,6 +57,8 @@ class GuardrailedPredictor : public GatePredictor
                 CoreMode mode) override;
     uint32_t opsPerInference() const override;
     std::string name() const override;
+    std::unique_ptr<GatePredictor> fork() const override;
+    uint64_t fingerprint() const override;
 
     /** Times the guardrail forced high-performance mode. */
     uint64_t trips() const { return trips_; }
@@ -68,6 +72,11 @@ class GuardrailedPredictor : public GatePredictor
     bool lastInnerDecision() const { return lastInner_; }
 
   private:
+    /** A fork's wrapper: owns its inner predictor. */
+    GuardrailedPredictor(std::unique_ptr<GatePredictor> inner,
+                         const GuardrailConfig &cfg);
+
+    std::unique_ptr<GatePredictor> ownedInner_; //!< set on forks
     GatePredictor &inner_;
     GuardrailConfig cfg_;
     double highIpcRef_ = 0.0;

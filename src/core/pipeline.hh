@@ -152,6 +152,15 @@ struct SuiteResult
 /**
  * Evaluate one predictor closed-loop across traces; aggregates are
  * unweighted means across traces, as in the paper's suite averages.
+ *
+ * Every (predictor, trace) run is a pure function of its inputs, so
+ * each runs at most once per process: results live in a process-wide
+ * table keyed by predictor.fingerprint(), the workload, the build
+ * config, the SLA and the fault spec (DESIGN.md §9). The runs not yet
+ * in the table fan out across the thread pool, one lane per trace,
+ * each on its own predictor.fork(); per-trace results and the suite
+ * means are merged in @p trace_indices order, bit-identical at any
+ * PSCA_THREADS (DESIGN.md §8). @p predictor itself is never run.
  */
 SuiteResult evaluateSuite(const ExperimentContext &ctx,
                           GatePredictor &predictor,

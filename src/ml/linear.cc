@@ -222,6 +222,13 @@ LogisticRegression::describe() const
     return "LogisticRegression";
 }
 
+void
+LogisticRegression::writeParams(BinaryWriter &out) const
+{
+    out.putVector(w_);
+    out.put(b_);
+}
+
 LinearSvmEnsemble::LinearSvmEnsemble(const Dataset &data,
                                      const LinearSvmConfig &cfg)
     : numInputs_(data.numFeatures)
@@ -323,6 +330,14 @@ LinearSvmEnsemble::describe() const
     std::ostringstream os;
     os << "LinearSVM x" << members_.size();
     return os.str();
+}
+
+void
+LinearSvmEnsemble::writeParams(BinaryWriter &out) const
+{
+    out.put<uint64_t>(numInputs_);
+    for (const auto &member : members_)
+        out.putVector(member);
 }
 
 } // namespace psca

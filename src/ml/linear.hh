@@ -54,6 +54,7 @@ class LogisticRegression : public Model
     uint32_t opsPerInference() const override;
     size_t memoryFootprintBytes() const override;
     std::string describe() const override;
+    void writeParams(BinaryWriter &out) const override;
 
     const std::vector<double> &coefficients() const { return w_; }
     double bias() const { return b_; }
@@ -90,6 +91,7 @@ class LinearSvmEnsemble : public Model
     uint32_t opsPerInference() const override;
     size_t memoryFootprintBytes() const override;
     std::string describe() const override;
+    void writeParams(BinaryWriter &out) const override;
 
   private:
     size_t numInputs_;

@@ -194,6 +194,16 @@ MlpModel::describe() const
 }
 
 void
+MlpModel::writeParams(BinaryWriter &out) const
+{
+    out.putVector(sizes_);
+    for (size_t l = 0; l < w_.size(); ++l) {
+        out.putVector(w_[l]);
+        out.putVector(b_[l]);
+    }
+}
+
+void
 MlpModel::train(const Dataset &data, const MlpConfig &cfg)
 {
     PSCA_ASSERT(data.numFeatures == numInputs_,

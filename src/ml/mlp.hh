@@ -57,6 +57,7 @@ class MlpModel : public Model
     uint32_t opsPerInference() const override;
     size_t memoryFootprintBytes() const override;
     std::string describe() const override;
+    void writeParams(BinaryWriter &out) const override;
 
     /** Layer widths, input first, output (1) last. */
     const std::vector<int> &layerSizes() const { return sizes_; }

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "ml/dataset.hh"
 
 namespace psca {
@@ -90,6 +91,28 @@ class Model
 
     /** Short description, e.g. "MLP 8/8/4". */
     virtual std::string describe() const = 0;
+
+    /**
+     * Stream every parameter score() reads into @p out, field by
+     * field (never as raw structs, so padding cannot leak in). The
+     * threshold is not a parameter here; fingerprint() adds it.
+     */
+    virtual void writeParams(BinaryWriter &out) const = 0;
+
+    /**
+     * FNV-1a over describe(), writeParams() and the threshold: two
+     * models with equal fingerprints make equal decisions on equal
+     * inputs. Keys the closed-loop result table (core/pipeline.hh).
+     */
+    uint64_t
+    fingerprint() const
+    {
+        BinaryWriter out;
+        out.putString(describe());
+        writeParams(out);
+        out.put(threshold_);
+        return out.checksum();
+    }
 
   private:
     double threshold_ = 0.5;

@@ -479,6 +479,10 @@ class QuantAdapter : public Model
         return q_.memoryFootprintBytes();
     }
     std::string describe() const override { return desc_; }
+    void writeParams(BinaryWriter &out) const override
+    {
+        q_.serialize(out);
+    }
 
     const Q &quantized() const { return q_; }
 

@@ -42,6 +42,14 @@ HistogramEncoder::bucketOf(size_t counter, float value) const
 }
 
 void
+HistogramEncoder::writeParams(BinaryWriter &out) const
+{
+    out.put<uint64_t>(edges_.size());
+    for (const auto &edges : edges_)
+        out.putVector(edges);
+}
+
+void
 HistogramEncoder::encode(const std::vector<const float *> &rows,
                          float *out) const
 {
@@ -128,6 +136,14 @@ SrchModel::describe() const
     os << "SRCH " << encoder_.numCounters() << "x"
        << HistogramEncoder::kBuckets << " window=" << window_;
     return os.str();
+}
+
+void
+SrchModel::writeParams(BinaryWriter &out) const
+{
+    encoder_.writeParams(out);
+    out.put<int32_t>(window_);
+    lr_->writeParams(out);
 }
 
 } // namespace psca

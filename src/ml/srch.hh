@@ -44,6 +44,9 @@ class HistogramEncoder
     /** Bucket index of one value for one counter. */
     int bucketOf(size_t counter, float value) const;
 
+    /** Stream the bucket edges (Model::writeParams()). */
+    void writeParams(BinaryWriter &out) const;
+
   private:
     /** Per counter: kBuckets-1 ascending edges. */
     std::vector<std::vector<float>> edges_;
@@ -84,6 +87,7 @@ class SrchModel : public Model
     uint32_t opsPerInference() const override;
     size_t memoryFootprintBytes() const override;
     std::string describe() const override;
+    void writeParams(BinaryWriter &out) const override;
 
     const HistogramEncoder &encoder() const { return encoder_; }
     int window() const { return window_; }

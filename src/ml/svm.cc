@@ -168,4 +168,15 @@ Chi2Svm::describe() const
     return os.str();
 }
 
+void
+Chi2Svm::writeParams(BinaryWriter &out) const
+{
+    out.put<uint64_t>(numInputs_);
+    out.put(cfg_.gamma);
+    out.putVector(shift_);
+    out.putVector(sv_);
+    out.putVector(alphas_);
+    out.put(bias_);
+}
+
 } // namespace psca

@@ -51,6 +51,7 @@ class Chi2Svm : public Model
     uint32_t opsPerInference() const override;
     size_t memoryFootprintBytes() const override;
     std::string describe() const override;
+    void writeParams(BinaryWriter &out) const override;
 
     size_t numSupportVectors() const { return alphas_.size(); }
 

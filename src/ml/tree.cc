@@ -434,6 +434,14 @@ RandomForest::describe() const
     return os.str();
 }
 
+void
+RandomForest::writeParams(BinaryWriter &out) const
+{
+    out.put<uint64_t>(trees_.size());
+    for (const auto &tree : trees_)
+        tree->serialize(out);
+}
+
 std::vector<std::unique_ptr<DecisionTree>>
 RandomForest::takeTrees()
 {

@@ -52,6 +52,10 @@ class DecisionTree : public Model
     uint32_t opsPerInference() const override;
     size_t memoryFootprintBytes() const override;
     std::string describe() const override;
+    void writeParams(BinaryWriter &out) const override
+    {
+        serialize(out);
+    }
 
     int maxDepth() const { return cfg_.maxDepth; }
 
@@ -131,6 +135,7 @@ class RandomForest : public Model
     uint32_t opsPerInference() const override;
     size_t memoryFootprintBytes() const override;
     std::string describe() const override;
+    void writeParams(BinaryWriter &out) const override;
 
     const std::vector<std::unique_ptr<DecisionTree>> &trees() const
     {

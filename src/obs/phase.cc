@@ -1,5 +1,6 @@
 #include "obs/phase.hh"
 
+#include <ctime>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -113,6 +114,15 @@ const bool g_hooks_registered = [] {
 }();
 
 } // namespace
+
+uint64_t
+threadCpuNs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<uint64_t>(ts.tv_sec) * 1000000000ULL +
+        static_cast<uint64_t>(ts.tv_nsec);
+}
 
 uint64_t
 elapsedNs(std::chrono::steady_clock::time_point start)

@@ -150,6 +150,13 @@ class ScopedTimer
 /** Nanoseconds elapsed since a steady_clock time point. */
 uint64_t elapsedNs(std::chrono::steady_clock::time_point start);
 
+/**
+ * CPU time the calling thread has consumed, in nanoseconds. Unlike
+ * wall time it stops while the thread waits or is preempted, so
+ * per-thread work timed with it sums to at most the process CPU.
+ */
+uint64_t threadCpuNs();
+
 } // namespace obs
 } // namespace psca
 

@@ -46,9 +46,9 @@ CacheLevel::access(uint64_t addr, bool is_write)
     const uint64_t line_addr = addr >> lineShift_;
     const uint32_t set = static_cast<uint32_t>(line_addr) &
         (numSets_ - 1);
-    const uint64_t tag = line_addr >> setShift_;
+    const uint32_t tag = tagOf(line_addr);
     const size_t base = static_cast<size_t>(set) * cfg_.ways;
-    uint64_t *tags = &tags_[base];
+    uint32_t *tags = &tags_[base];
     ++useClock_;
 
     Result result;
@@ -91,8 +91,8 @@ CacheLevel::contains(uint64_t addr) const
     const uint64_t line_addr = addr >> lineShift_;
     const uint32_t set = static_cast<uint32_t>(line_addr) &
         (numSets_ - 1);
-    const uint64_t tag = line_addr >> setShift_;
-    const uint64_t *tags = &tags_[static_cast<size_t>(set) *
+    const uint32_t tag = tagOf(line_addr);
+    const uint32_t *tags = &tags_[static_cast<size_t>(set) *
                                   cfg_.ways];
     for (uint32_t w = 0; w < cfg_.ways; ++w)
         if (tags[w] == tag)

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/bandwidth.hh"
 #include "sim/config.hh"
 #include "telemetry/counters.hh"
@@ -58,17 +59,30 @@ class CacheLevel
 
   private:
     /**
-     * Empty-way marker. Real tags are address bits above the line
-     * and set fields (>= 7 bits shifted away), so no reachable tag
-     * can collide with it.
+     * Empty-way marker. Tags are stored in 32 bits: the address bits
+     * above the line and set fields. Generated addresses stay below
+     * 2^41 (makeKernel gives instance ids < 4096 and 256 MiB data
+     * regions at 0x10000000 * (id + 1)), and the smallest production
+     * level (the uop cache) shifts 10 bits away, so every reachable
+     * tag is below 2^31; access() asserts it stays below the marker.
      */
-    static constexpr uint64_t kInvalidTag = ~0ULL;
+    static constexpr uint32_t kInvalidTag = ~0u;
+
+    /** The 32-bit tag of a line address (asserted to fit). */
+    uint32_t
+    tagOf(uint64_t line_addr) const
+    {
+        const uint64_t tag = line_addr >> setShift_;
+        PSCA_ASSERT(tag < kInvalidTag, "cache tag ", tag,
+                    " does not fit in 32 bits");
+        return static_cast<uint32_t>(tag);
+    }
 
     CacheConfig cfg_;
     uint32_t numSets_;
     uint32_t lineShift_;
     uint32_t setShift_;           //!< log2(numSets_)
-    std::vector<uint64_t> tags_;  //!< numSets x ways, packed
+    std::vector<uint32_t> tags_;  //!< numSets x ways, packed
     std::vector<uint32_t> lastUse_;
     std::vector<uint8_t> dirty_;
     uint32_t useClock_ = 0;

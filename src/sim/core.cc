@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdlib>
 
 #include "obs/phase.hh"
@@ -22,6 +21,11 @@ struct SimObs
     obs::Counter &intervals;
     obs::Counter &instructions;
     obs::Counter &cycles;
+    /**
+     * Replay time: the replaying thread's CPU time inside run(), so
+     * a lane preempted by its siblings does not count the wait and
+     * the sum never exceeds the CPU the replays used.
+     */
     obs::Counter &replayNs;
     obs::Counter &l1dHits;
     obs::Counter &l1dMisses;
@@ -489,7 +493,7 @@ ClusteredCore::beginInterval()
 
 IntervalStats
 ClusteredCore::endInterval(const IntervalSnapshot &snap, uint64_t n,
-                           uint64_t elapsed_ns)
+                           uint64_t replay_ns)
 {
     IntervalStats stats;
     stats.instructions = n;
@@ -522,7 +526,7 @@ ClusteredCore::endInterval(const IntervalSnapshot &snap, uint64_t n,
     so.intervals.add();
     so.instructions.add(n);
     so.cycles.add(stats.cycles);
-    so.replayNs.add(elapsed_ns);
+    so.replayNs.add(replay_ns);
     so.l1dHits.add(counters_.value(Ctr::L1dHit) - snap.l1dHit);
     so.l1dMisses.add(counters_.value(Ctr::L1dMiss) - snap.l1dMiss);
     so.l2Misses.add(counters_.value(Ctr::L2Miss) - snap.l2Miss);
@@ -539,7 +543,7 @@ ClusteredCore::endInterval(const IntervalSnapshot &snap, uint64_t n,
 IntervalStats
 ClusteredCore::run(TraceGenerator &gen, uint64_t n)
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const uint64_t cpu0 = obs::threadCpuNs();
     const IntervalSnapshot snap = beginInterval();
 
     uint64_t remaining = n;
@@ -552,7 +556,7 @@ ClusteredCore::run(TraceGenerator &gen, uint64_t n)
             processUop(op);
         remaining -= chunk;
     }
-    return endInterval(snap, n, obs::elapsedNs(t0));
+    return endInterval(snap, n, obs::threadCpuNs() - cpu0);
 }
 
 } // namespace psca

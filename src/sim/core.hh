@@ -148,7 +148,7 @@ class ClusteredCore
 
     IntervalSnapshot beginInterval();
     IntervalStats endInterval(const IntervalSnapshot &snap, uint64_t n,
-                              uint64_t elapsed_ns);
+                              uint64_t replay_ns);
     void processUop(const MicroOp &op);
     int steer(const MicroOp &op);
     int execLatency(OpClass cls) const;

@@ -1,5 +1,6 @@
 #include "sim/memo.hh"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -81,6 +82,37 @@ coreConfigHash(const CoreConfig &cfg)
     mix(cfg.pageBytes);
     mix(static_cast<uint64_t>(cfg.storeForwardLatency));
     mix(static_cast<uint64_t>(cfg.clockGhz * 1e6));
+    return h;
+}
+
+uint64_t
+workloadHash(const Workload &w)
+{
+    uint64_t h = 0x3017c0adULL;
+    auto mix = [&h](uint64_t v) { h = mixSeeds(h, v); };
+    auto mixDouble = [&mix](double v) {
+        mix(std::bit_cast<uint64_t>(v));
+    };
+    mix(w.genome.seed);
+    mix(static_cast<uint64_t>(w.genome.category));
+    mix(w.genome.phases.size());
+    for (const PhaseSpec &p : w.genome.phases) {
+        const KernelParams &k = p.kernel;
+        mix(static_cast<uint64_t>(k.kind));
+        mix(k.workingSetBytes);
+        mix(k.chains);
+        mix(k.computePerElem);
+        mixDouble(k.branchRatio);
+        mixDouble(k.predictability);
+        mix(k.mlpDegree);
+        mix(k.fp ? 1 : 0);
+        mix(k.strideBytes);
+        mixDouble(p.weight);
+        mixDouble(p.meanLenInstr);
+    }
+    mix(w.inputSeed);
+    mix(w.traceIndex);
+    mix(w.lengthInstr);
     return h;
 }
 

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "sim/config.hh"
+#include "trace/generator.hh"
 
 namespace psca {
 
@@ -54,6 +55,17 @@ struct MemoKey
  * entries would survive a timing-relevant config change.
  */
 uint64_t coreConfigHash(const CoreConfig &cfg);
+
+/**
+ * Stable hash over every Workload field the trace generator reads
+ * (genome seed, category and phases, input seed, trace index,
+ * length; the report name is left out). Exhaustive by hand like
+ * coreConfigHash(): a field added to Workload, AppGenome, PhaseSpec
+ * or KernelParams must be added here, or the closed-loop result
+ * table (core/pipeline.hh) would reuse a run across workloads that
+ * differ only in it.
+ */
+uint64_t workloadHash(const Workload &w);
 
 /**
  * The per-interval result of a fixed-mode simulation: one full

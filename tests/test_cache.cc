@@ -71,6 +71,23 @@ TEST(CacheLevel, WorkingSetLargerThanCacheMisses)
     EXPECT_EQ(second_pass_hits, 0); // LRU thrashes a looped overflow
 }
 
+TEST(CacheLevel, TagsAreThirtyTwoBits)
+{
+    // One set of 64-byte lines: the tag is the address above bit 6.
+    CacheLevel cache({128, 2, 64, 1});
+    const uint64_t top = 0xfffffffeULL << 6; // largest storable tag
+    EXPECT_FALSE(cache.access(top, false).hit);
+    EXPECT_TRUE(cache.access(top, false).hit);
+    EXPECT_FALSE(cache.contains(top - 64));
+
+    // Re-exec: earlier tests may have started threads.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(cache.access(1ULL << 40, false),
+                 "does not fit in 32 bits");
+    EXPECT_DEATH(cache.access(0xffffffffULL << 6, false),
+                 "does not fit in 32 bits");
+}
+
 TEST(Tlb, HitAfterFill)
 {
     Tlb tlb(64, 4096);

@@ -61,6 +61,11 @@ class ConstantPredictor : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "constant"; }
+    std::unique_ptr<GatePredictor> fork() const override
+    {
+        return std::make_unique<ConstantPredictor>(gate_);
+    }
+    uint64_t fingerprint() const override { return gate_ ? 0xc1 : 0xc0; }
 
   private:
     bool gate_;
@@ -83,6 +88,17 @@ class OraclePredictor : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "oracle"; }
+    std::unique_ptr<GatePredictor> fork() const override
+    {
+        return std::make_unique<OraclePredictor>(labels_, granularity_);
+    }
+    uint64_t fingerprint() const override
+    {
+        uint64_t h = mixSeeds(0x0c1e, granularity_);
+        for (uint8_t l : labels_)
+            h = mixSeeds(h, l);
+        return h;
+    }
 
   private:
     std::vector<uint8_t> labels_;

@@ -256,6 +256,11 @@ class AlwaysGate : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "always_gate"; }
+    std::unique_ptr<GatePredictor> fork() const override
+    {
+        return std::make_unique<AlwaysGate>();
+    }
+    uint64_t fingerprint() const override { return 0xa1; }
 };
 
 } // namespace

@@ -34,6 +34,11 @@ class ScriptedInner : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "scripted"; }
+    std::unique_ptr<GatePredictor> fork() const override
+    {
+        return std::make_unique<ScriptedInner>(gate_);
+    }
+    uint64_t fingerprint() const override { return gate_ ? 0x5c1 : 0x5c0; }
 
     bool gate_;
     int calls_ = 0;
@@ -226,6 +231,11 @@ class WrongWay : public GatePredictor
     }
     uint32_t opsPerInference() const override { return 1; }
     std::string name() const override { return "wrong_way"; }
+    std::unique_ptr<GatePredictor> fork() const override
+    {
+        return std::make_unique<WrongWay>();
+    }
+    uint64_t fingerprint() const override { return 0x3a7; }
 };
 
 } // namespace

@@ -180,8 +180,9 @@ TEST(StreamingReplay, RecordingNeverHoldsTheTrace)
     // Recording streams every pass from the generator, so its memory
     // does not grow with trace length. The largest block it may
     // allocate is the timing model's own fixed state: with the
-    // default geometry that is the LLC tag array, exactly 1 MiB. A
-    // buffer of the whole 450k-uop stream would be several MiB.
+    // default geometry that is one of the LLC's 512 KiB tag and
+    // recency arrays. A buffer of the whole 450k-uop stream would be
+    // several MiB.
     constexpr size_t kMiB = size_t{1} << 20;
     BuildConfig cfg;
     cfg.counterIds = {
