@@ -1,8 +1,10 @@
 #include "core/controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 
 #include "common/fault.hh"
 #include "common/serialize.hh"
@@ -185,11 +187,57 @@ SrchPredictor::fingerprint() const
     return out.checksum();
 }
 
+std::vector<const float *>
+BlockReplayer::Block::rowPtrs() const
+{
+    const size_t width = rows.size() / subCycles.size();
+    std::vector<const float *> ptrs;
+    ptrs.reserve(subCycles.size());
+    for (size_t t = 0; t < subCycles.size(); ++t)
+        ptrs.push_back(rows.data() + t * width);
+    return ptrs;
+}
+
+void
+BlockReplayer::Block::account(PpwAccumulator &acc) const
+{
+    for (const IntervalCost &c : intervals)
+        acc.add(c.instructions, c.cycles, c.energyNj);
+    if (carryforwards > 0)
+        obs::StatRegistry::instance()
+            .counter("controller.snapshot_carryforwards")
+            .add(carryforwards);
+}
+
+bool
+BlockReplayer::Block::identical(const Block &other) const
+{
+    const auto same_bytes = [](const auto &a, const auto &b) {
+        return a.size() == b.size() &&
+            std::memcmp(a.data(), b.data(),
+                        a.size() * sizeof(a[0])) == 0;
+    };
+    if (carryforwards != other.carryforwards ||
+        !same_bytes(rows, other.rows) ||
+        !same_bytes(subCycles, other.subCycles) ||
+        intervals.size() != other.intervals.size())
+        return false;
+    for (size_t t = 0; t < intervals.size(); ++t) {
+        const IntervalCost &a = intervals[t];
+        const IntervalCost &b = other.intervals[t];
+        if (a.instructions != b.instructions || a.cycles != b.cycles ||
+            std::bit_cast<uint64_t>(a.energyNj) !=
+                std::bit_cast<uint64_t>(b.energyNj))
+            return false;
+    }
+    return true;
+}
+
 BlockReplayer::BlockReplayer(const Workload &workload,
                              const BuildConfig &cfg, size_t k)
     : cfg_(cfg), k_(k),
       // Fault injection corrupts only the controller's telemetry
-      // view (subRows_/subCycles_); ground-truth deltas still feed
+      // view (rows/subCycles); ground-truth deltas still feed
       // energy and performance accounting. Draws are keyed by the
       // workload's deterministic identity mixed with the sub-interval
       // index, so fault sequences are identical at any thread count.
@@ -198,10 +246,11 @@ BlockReplayer::BlockReplayer(const Workload &workload,
           workload.genome.seed,
           mixSeeds(workload.inputSeed, workload.traceIndex))),
       core_(cfg.core), power_(cfg.power, cfg.core.clockGhz),
-      gen_(workload),
-      subRows_(k, std::vector<float>(cfg.counterIds.size())),
-      subCycles_(k), carryRow_(cfg.counterIds.size(), 0.0f)
+      gen_(workload), carryRow_(cfg.counterIds.size(), 0.0f)
 {
+    out_.rows.resize(k * cfg.counterIds.size());
+    out_.subCycles.resize(k);
+    out_.intervals.resize(k);
     core_.reset();
     core_.setMode(CoreMode::HighPerf);
     if (cfg_.warmupInstr > 0)
@@ -210,20 +259,18 @@ BlockReplayer::BlockReplayer(const Workload &workload,
     deltaAll_.resize(prev_.size());
 }
 
-BlockReplayer::BlockStats
-BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
+const BlockReplayer::Block &
+BlockReplayer::runBlock(CoreMode mode)
 {
-    auto &reg = obs::StatRegistry::instance();
     core_.setMode(mode);
     const CoreMode block_mode = core_.mode();
     const uint64_t b = block_++;
-    BlockStats totals;
+    const size_t width = cfg_.counterIds.size();
+    out_.carryforwards = 0;
 
     for (size_t t = 0; t < k_; ++t) {
         const IntervalStats stats =
             core_.run(gen_, cfg_.intervalInstr);
-        totals.instructions += stats.instructions;
-        totals.cycles += stats.cycles;
         const auto &now = core_.counters().raw();
         for (size_t i = 0; i < now.size(); ++i)
             deltaAll_[i] = now[i] - prev_[i];
@@ -234,39 +281,29 @@ BlockReplayer::runBlock(CoreMode mode, PpwAccumulator &acc)
             dropped = applyTelemetryFaults(
                 view_, mixSeeds(traceKey_, b * k_ + t));
         }
+        float *row = out_.rows.data() + t * width;
         if (dropped) {
             // Snapshot lost in flight: the controller reuses its
             // previous view of this lane rather than reading
             // garbage (zeros at the very start of the run).
-            subRows_[t] = carryRow_;
-            subCycles_[t] = carryCycles_;
-            reg.counter("controller.snapshot_carryforwards").add();
+            std::copy(carryRow_.begin(), carryRow_.end(), row);
+            out_.subCycles[t] = carryCycles_;
+            ++out_.carryforwards;
         } else {
             const auto &src = faultsOn_ ? view_ : deltaAll_;
-            for (size_t j = 0; j < cfg_.counterIds.size(); ++j)
-                subRows_[t][j] =
-                    static_cast<float>(src[cfg_.counterIds[j]]);
-            subCycles_[t] = static_cast<float>(stats.cycles);
+            for (size_t j = 0; j < width; ++j)
+                row[j] = static_cast<float>(src[cfg_.counterIds[j]]);
+            out_.subCycles[t] = static_cast<float>(stats.cycles);
             if (faultsOn_) {
-                carryRow_ = subRows_[t];
-                carryCycles_ = subCycles_[t];
+                carryRow_.assign(row, row + width);
+                carryCycles_ = out_.subCycles[t];
             }
         }
-        acc.add(stats.instructions, stats.cycles,
-                power_.intervalEnergyNj(deltaAll_, stats.cycles,
-                                        block_mode));
+        out_.intervals[t] = {stats.instructions, stats.cycles,
+                             power_.intervalEnergyNj(
+                                 deltaAll_, stats.cycles, block_mode)};
     }
-    return totals;
-}
-
-std::vector<const float *>
-BlockReplayer::rowPtrs() const
-{
-    std::vector<const float *> ptrs;
-    ptrs.reserve(k_);
-    for (size_t t = 0; t < k_; ++t)
-        ptrs.push_back(subRows_[t].data());
-    return ptrs;
+    return out_;
 }
 
 uint64_t
@@ -332,7 +369,9 @@ runClosedLoop(const Workload &workload, const TraceRecord &reference,
         predictions[b] = pending[b];
         low_blocks += pending[b];
 
-        replayer.runBlock(block_mode, adaptive);
+        const BlockReplayer::Block &block =
+            replayer.runBlock(block_mode);
+        block.account(adaptive);
 
         // Microcontroller inference for block b+2. A deadline miss
         // (injected, or deterministic-on-overrun when the site's
@@ -353,11 +392,10 @@ runClosedLoop(const Workload &workload, const TraceRecord &reference,
                 pending[b + 2] = pending[b + 1];
             continue;
         }
-        const std::vector<const float *> row_ptrs =
-            replayer.rowPtrs();
+        const std::vector<const float *> row_ptrs = block.rowPtrs();
         const auto decide_start = std::chrono::steady_clock::now();
-        const bool gate = predictor.decide(
-            row_ptrs, replayer.subCycles(), block_mode);
+        const bool gate =
+            predictor.decide(row_ptrs, block.subCycles, block_mode);
         decision_lat.add(obs::elapsedNs(decide_start));
         ops_hist.add(predictor.opsPerInference());
         (gate ? gate_ctr : stay_ctr).add();

@@ -179,25 +179,59 @@ class SrchPredictor : public GatePredictor
  * per-block simulate / snapshot / fault-inject / account machinery
  * that runClosedLoop() and the serve loop (src/serve) share. The
  * caller picks each block's cluster mode (the applied decision) and
- * receives the controller's telemetry view of the finished block;
- * ground-truth deltas feed energy/performance accounting regardless
- * of injected telemetry faults, exactly as in the batch loop.
+ * receives the finished block: the controller's telemetry view plus
+ * the ground-truth per-interval accounting, which feeds energy and
+ * performance regardless of injected telemetry faults.
  *
  * Determinism: fault draws are keyed by the workload's stable
  * identity mixed with the sub-interval index (traceKey()), so a given
  * PSCA_FAULTS + PSCA_FAULT_SEED produces a bit-identical fault
- * sequence at any PSCA_THREADS, and per-interval PpwAccumulator adds
- * happen in the same order as before the extraction, so accumulated
+ * sequence at any PSCA_THREADS, and Block::account() adds the
+ * intervals to a PpwAccumulator in execution order, so accumulated
  * float sums are bit-identical too.
  */
 class BlockReplayer
 {
   public:
-    /** Totals of one replayed block. */
-    struct BlockStats
+    /** Ground truth of one sub-interval, as accounting folds it. */
+    struct IntervalCost
     {
         uint64_t instructions = 0;
         uint64_t cycles = 0;
+        double energyNj = 0.0;
+    };
+
+    /**
+     * Everything one replayed block yields: the controller's
+     * (fault-injected) telemetry view of its sub-intervals and their
+     * ground-truth accounting. Block b of a replay is a pure function
+     * of (workload, build config, k, fault spec, modes of blocks
+     * 0..b), which is what lets the serve loop store and reuse it.
+     */
+    struct Block
+    {
+        /** k telemetry rows of counterIds.size() values, row-major. */
+        std::vector<float> rows;
+        /** Cycles of each sub-interval as the controller saw them. */
+        std::vector<float> subCycles;
+        /** Per-sub-interval ground truth, in execution order. */
+        std::vector<IntervalCost> intervals;
+        /** Snapshots lost in flight and carried forward. */
+        uint64_t carryforwards = 0;
+
+        /** rows as the row-pointer list predictors consume. */
+        std::vector<const float *> rowPtrs() const;
+
+        /**
+         * Fold the block into @p acc interval by interval (so float
+         * sums are the same whether the block was simulated or
+         * stored) and count its carry-forwards in
+         * `controller.snapshot_carryforwards`.
+         */
+        void account(PpwAccumulator &acc) const;
+
+        /** Bit-for-bit equality (NaN rows included). */
+        bool identical(const Block &other) const;
     };
 
     /**
@@ -207,21 +241,11 @@ class BlockReplayer
                   size_t k);
 
     /**
-     * Simulate the next block in @p mode. The controller's
-     * (fault-injected) telemetry view lands in subRows()/subCycles();
-     * per-interval energy/perf accounting accumulates into @p acc.
+     * Simulate the next block in @p mode. The returned view is
+     * overwritten by the next call; nothing is accounted until the
+     * caller folds it with Block::account().
      */
-    BlockStats runBlock(CoreMode mode, PpwAccumulator &acc);
-
-    /** Telemetry view of the last block's sub-intervals. */
-    const std::vector<std::vector<float>> &subRows() const
-    {
-        return subRows_;
-    }
-    const std::vector<float> &subCycles() const { return subCycles_; }
-
-    /** subRows() as the row-pointer list predictors consume. */
-    std::vector<const float *> rowPtrs() const;
+    const Block &runBlock(CoreMode mode);
 
     /** Stable fault-stream identity of this workload. */
     uint64_t traceKey() const { return traceKey_; }
@@ -243,8 +267,7 @@ class BlockReplayer
     std::vector<uint64_t> prev_;
     std::vector<uint64_t> deltaAll_;
     std::vector<uint64_t> view_;
-    std::vector<std::vector<float>> subRows_;
-    std::vector<float> subCycles_;
+    Block out_;
     std::vector<float> carryRow_;
     float carryCycles_ = 0.0f;
     uint64_t block_ = 0;

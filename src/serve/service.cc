@@ -12,6 +12,7 @@
 #include "common/rng.hh"
 #include "core/firmware_image.hh"
 #include "obs/stats.hh"
+#include "serve/block_table.hh"
 
 namespace psca {
 namespace serve {
@@ -86,16 +87,19 @@ ServeConfig::fromEnv()
 }
 
 /** Per-segment runtime: the dual-mode reference record (ground truth
- *  and A/B energy estimates), its block labels, and the live
- *  replayer of the current pass. */
+ *  and A/B energy estimates), its block labels, and the block table
+ *  every pass replays through (dropped with the segment). */
 struct Service::SegmentRt
 {
-    size_t index = 0;
+    SegmentRt(const Workload &w, const BuildConfig &build, size_t k)
+        : workload(w), table(w, build, k)
+    {}
+
     Workload workload;
     TraceRecord ref;
     std::vector<uint8_t> labels;
     size_t passBlocks = 0;
-    std::unique_ptr<BlockReplayer> replayer;
+    BlockTable table;
     uint64_t passBlockIdx = 0; //!< block within the current pass
 };
 
@@ -210,9 +214,7 @@ void
 Service::enterSegment(size_t idx)
 {
     const ServeSegment &s = schedule_[idx];
-    auto rt = std::make_unique<SegmentRt>();
-    rt->index = idx;
-    rt->workload = s.workload;
+    auto rt = std::make_unique<SegmentRt>(s.workload, build_, k_);
     rt->ref = recordTrace(s.workload, build_,
                           static_cast<uint32_t>(idx),
                           static_cast<uint32_t>(s.workload.traceIndex));
@@ -231,17 +233,23 @@ Service::stepBlock()
     // Fresh pass: replay the segment's trace from the top with a new
     // core, and clear in-flight decisions (they referenced blocks of
     // the finished pass).
-    if (!seg_->replayer || seg_->passBlockIdx >= seg_->passBlocks) {
-        seg_->replayer = std::make_unique<BlockReplayer>(
-            seg_->workload, build_, k_);
-        seg_->passBlockIdx = 0;
+    if (seg_->passBlockIdx == 0) {
+        seg_->table.newPass();
         pending_[0] = pending_[1] = pending_[2] = 0;
     }
 
     const bool apply_gate = pending_[0] != 0;
     const CoreMode mode =
         apply_gate ? CoreMode::LowPower : CoreMode::HighPerf;
-    seg_->replayer->runBlock(mode, adaptive_);
+    // A pass that repeats an earlier pass's mode prefix gets that
+    // pass's block back from the table without simulating it.
+    const BlockReplayer::Block &block = seg_->table.runBlock(mode);
+    block.account(adaptive_);
+    if (cfg_.lifecycle)
+        obs::StatRegistry::instance()
+            .counter(seg_->table.lastReused() ? "serve.blocks_reused"
+                                              : "serve.blocks_simulated")
+            .add();
 
     // Non-adaptive high-performance baseline over the same intervals,
     // from the reference record (what runClosedLoop compares against).
@@ -251,8 +259,8 @@ Service::stepBlock()
                            static_cast<uint64_t>(seg_->ref.cyclesHigh[t]),
                            seg_->ref.energyHighNj[t]);
 
-    const std::vector<const float *> rows = seg_->replayer->rowPtrs();
-    const std::vector<float> &cycles = seg_->replayer->subCycles();
+    const std::vector<const float *> rows = block.rowPtrs();
+    const std::vector<float> &cycles = block.subCycles;
 
     const bool decision = guard_->decide(rows, cycles, mode);
     const uint64_t trips = guard_->trips();
@@ -403,7 +411,8 @@ Service::stepBlock()
 
     ++outcome_.blocks;
     ++segBlocksDone_;
-    ++seg_->passBlockIdx;
+    if (++seg_->passBlockIdx == seg_->passBlocks)
+        seg_->passBlockIdx = 0;
 }
 
 void

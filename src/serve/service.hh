@@ -143,7 +143,7 @@ class Service
     const ServeOutcome &outcome() const { return outcome_; }
 
   private:
-    struct SegmentRt; //!< per-segment runtime (replayer, labels, ref)
+    struct SegmentRt; //!< per-segment runtime (block table, labels, ref)
 
     void transition(ServeState to, const std::string &reason);
     void lifecycleLine(const std::string &line, bool warnLevel = false);

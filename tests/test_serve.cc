@@ -7,8 +7,11 @@
  * cycle HEALTHY -> DRIFTING -> RETRAINING -> SHADOWING -> PROMOTING
  * -> HEALTHY on a planted distribution shift, same-seed determinism
  * of the lifecycle transition sequence, fail-safe behaviour under
- * every serve.* fault site, and the run report carrying the service's
- * state, active firmware version and lifecycle events.
+ * every serve.* fault site, the run report carrying the service's
+ * state, active firmware version and lifecycle events, and the
+ * per-segment block table: stored blocks bit-identical to a fresh
+ * replay (clean and with faulted telemetry), and repeated passes
+ * simulated once.
  *
  * Fork discipline (same as test_runner.cc): children _exit() and the
  * parent never touches the ThreadPool/SimMemo/Journal singletons from
@@ -21,6 +24,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -34,6 +38,7 @@
 #include "common/serialize.hh"
 #include "obs/events.hh"
 #include "obs/stats.hh"
+#include "serve/block_table.hh"
 #include "serve/drift.hh"
 #include "serve/ring.hh"
 #include "serve/service.hh"
@@ -207,6 +212,95 @@ class ServeFixture : public ::testing::Test
 using RingTest = ServeFixture;
 using DriftTest = ServeFixture;
 using ServiceTest = ServeFixture;
+using BlockTableTest = ServeFixture;
+
+uint64_t
+counterValue(const char *name)
+{
+    const obs::Counter *c =
+        obs::StatRegistry::instance().findCounter(name);
+    return c ? c->value() : 0;
+}
+
+/** Bit-for-bit comparison of two blocks, naming the first mismatch. */
+void
+expectSameBlock(const BlockReplayer::Block &got,
+                const BlockReplayer::Block &want, const std::string &at)
+{
+    ASSERT_EQ(got.rows.size(), want.rows.size()) << at;
+    for (size_t i = 0; i < want.rows.size(); ++i)
+        ASSERT_EQ(std::bit_cast<uint32_t>(got.rows[i]),
+                  std::bit_cast<uint32_t>(want.rows[i]))
+            << at << " row value " << i;
+    ASSERT_EQ(got.subCycles.size(), want.subCycles.size()) << at;
+    for (size_t t = 0; t < want.subCycles.size(); ++t)
+        ASSERT_EQ(std::bit_cast<uint32_t>(got.subCycles[t]),
+                  std::bit_cast<uint32_t>(want.subCycles[t]))
+            << at << " sub-interval " << t;
+    ASSERT_EQ(got.intervals.size(), want.intervals.size()) << at;
+    for (size_t t = 0; t < want.intervals.size(); ++t) {
+        EXPECT_EQ(got.intervals[t].instructions,
+                  want.intervals[t].instructions)
+            << at << " interval " << t;
+        EXPECT_EQ(got.intervals[t].cycles, want.intervals[t].cycles)
+            << at << " interval " << t;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.intervals[t].energyNj),
+                  std::bit_cast<uint64_t>(want.intervals[t].energyNj))
+            << at << " interval " << t;
+    }
+    EXPECT_EQ(got.carryforwards, want.carryforwards) << at;
+    EXPECT_TRUE(got.identical(want)) << at;
+}
+
+/**
+ * Drive one BlockTable through scripted passes ('H'/'L' per block)
+ * and check every block, and the accounting it folds, bit for bit
+ * against a fresh BlockReplayer per pass. @p reused lists, per pass,
+ * how many leading blocks must come from the table.
+ */
+void
+checkScriptedPasses(const std::vector<std::string> &passes,
+                    const std::vector<size_t> &reused)
+{
+    const BuildConfig cfg = testBuildConfig();
+    const Workload w = memBoundWorkload(3, 200000);
+    const size_t k = 2;
+    BlockTable table(w, cfg, k);
+    for (size_t p = 0; p < passes.size(); ++p) {
+        BlockReplayer fresh(w, cfg, k);
+        table.newPass();
+        PpwAccumulator from_table, from_fresh;
+        uint64_t table_carry = 0, fresh_carry = 0;
+        for (size_t b = 0; b < passes[p].size(); ++b) {
+            const CoreMode mode = passes[p][b] == 'L'
+                ? CoreMode::LowPower
+                : CoreMode::HighPerf;
+            const std::string at = "pass " + std::to_string(p) +
+                " block " + std::to_string(b);
+            const BlockReplayer::Block &got = table.runBlock(mode);
+            EXPECT_EQ(table.lastReused(), b < reused[p]) << at;
+            uint64_t before =
+                counterValue("controller.snapshot_carryforwards");
+            got.account(from_table);
+            table_carry +=
+                counterValue("controller.snapshot_carryforwards") -
+                before;
+
+            const BlockReplayer::Block &want = fresh.runBlock(mode);
+            before = counterValue("controller.snapshot_carryforwards");
+            want.account(from_fresh);
+            fresh_carry +=
+                counterValue("controller.snapshot_carryforwards") -
+                before;
+            expectSameBlock(got, want, at);
+        }
+        EXPECT_EQ(from_table.instructions(), from_fresh.instructions());
+        EXPECT_EQ(from_table.cycles(), from_fresh.cycles());
+        EXPECT_EQ(std::bit_cast<uint64_t>(from_table.energyNj()),
+                  std::bit_cast<uint64_t>(from_fresh.energyNj()));
+        EXPECT_EQ(table_carry, fresh_carry) << "pass " << p;
+    }
+}
 
 } // namespace
 
@@ -637,4 +731,70 @@ TEST_F(ServiceTest, DisabledLifecycleServesBootstrapForever)
     EXPECT_EQ(out.rollbacks, 0u);
     EXPECT_EQ(out.activeVersion, 1u);
     EXPECT_GT(out.blocks, 0u);
+}
+
+// The passes a serve segment replays: a first pass, an exact repeat,
+// a pass diverging at block 0, one diverging mid-pass (blocks 0-4
+// shared with the first), a later repeat of that diverged pass, and
+// a pass cut short by the segment end.
+const std::vector<std::string> kScriptedPasses = {
+    "HHHLLHLLHH", "HHHLLHLLHH", "LHHLLHLLHH",
+    "HHHLLLHHLL", "HHHLLLHHLL", "HHHLLL",
+};
+const std::vector<size_t> kScriptedReuse = {0, 10, 0, 5, 10, 6};
+
+TEST_F(BlockTableTest, StoredBlocksMatchAFreshReplayBitForBit)
+{
+    checkScriptedPasses(kScriptedPasses, kScriptedReuse);
+}
+
+TEST_F(BlockTableTest, FaultedTelemetryAndCarryForwardsAreReusedExactly)
+{
+    // Dropped snapshots make a block's rows depend on earlier blocks
+    // of the same pass (the carried-forward view); noise makes every
+    // row a fault draw. Both must come back exactly from the table.
+    FaultRegistry::instance().configure(
+        "telemetry.dropped_snapshot:0.3,telemetry.noise:0.5", 23);
+    const uint64_t carry_before =
+        counterValue("controller.snapshot_carryforwards");
+    checkScriptedPasses(kScriptedPasses, kScriptedReuse);
+    EXPECT_GT(counterValue("controller.snapshot_carryforwards"),
+              carry_before);
+}
+
+TEST_F(ServiceTest, RepeatedPassesSimulateOnce)
+{
+    // 160k-instruction traces make 8-block passes: the first segment
+    // serves 3 passes, the second 5. Recording each segment first
+    // puts its dual-mode record in the sim memo, so the service's own
+    // recordings simulate nothing and the sim.* delta below is the
+    // closed-loop replay alone.
+    const BuildConfig build = testBuildConfig();
+    const std::vector<ServeSegment> schedule = {
+        {memBoundWorkload(3, 160000), 24}, {ilpWorkload(4, 160000), 40}};
+    for (const ServeSegment &s : schedule)
+        recordTrace(s.workload, build, 0, 0);
+
+    const uint64_t instr = counterValue("sim.instructions_retired");
+    const uint64_t simulated = counterValue("serve.blocks_simulated");
+    const uint64_t reused = counterValue("serve.blocks_reused");
+    Service service(testServeConfig(freshDir("svc_reuse")), build,
+                    schedule);
+    const ServeOutcome &out = service.run();
+
+    const uint64_t sim_blocks =
+        counterValue("serve.blocks_simulated") - simulated;
+    const uint64_t reused_blocks =
+        counterValue("serve.blocks_reused") - reused;
+    EXPECT_EQ(out.blocks, 64u);
+    EXPECT_EQ(sim_blocks + reused_blocks, out.blocks);
+    EXPECT_GT(reused_blocks, 0u);
+    // Pinned. Replaying every pass from the top would retire
+    // 1,440,000 instructions (64 blocks of 20k plus eight 20k
+    // warm-ups); with the block table only the 25 new blocks, the
+    // warm-ups of the passes that miss, and their catch-up blocks
+    // are simulated.
+    EXPECT_EQ(sim_blocks, 25u);
+    EXPECT_EQ(counterValue("sim.instructions_retired") - instr,
+              720000u);
 }
